@@ -1,16 +1,23 @@
 """Exact linear algebra on vectorized n x n matrices.
 
-Two engines live here:
+One elimination engine lives here: ``MatrixSpanBasis`` keeps a reduced
+row-echelon basis and takes rows in batches.  Over a prime field its rows
+are float64 integers in [0, p), reduced with BLAS products whose inner
+dimension is chunked to ``_CHUNK`` so that every sum stays exact below
+2^53, with one modular reduction (``_mod_p``) per chunk; this is the
+delayed-reduction scheme of FFLAS (Dumas, Giorgi & Pernet, ACM TOMS 2008).
+Over the rationals it keeps Fraction rows, as the exact oracle at desk
+scale.  Two closures use the engine:
 
-* an exact, deterministic echelon-basis closure (``MatrixSpanBasis`` /
-  ``grow_products``) over a prime field or the rationals, used as the
-  ground-truth route at desk scale, and
+* an exact, deterministic closure (``grow_products``) that multiplies each
+  frontier matrix by every generator at once and batch-inserts the
+  products, used as the ground-truth route at desk scale, and
 * a seeded randomized closure (``sampled_span_profile``) that profiles the
   span of all products of the color adjacency matrices through random
   products evaluated modulo two independent primes.  Equal walk counts give
   equal sample entries unconditionally, so the sampled partition can only
   err by merging (probability ~ p^-6 per coordinate pair); ranks are
-  computed per prime and must agree.
+  tracked per prime by the engine and must agree.
 
 Primes default to ~2^22 so that every inner product fits exactly in float64
 BLAS with 512-row chunking (p^2 * 512 < 2^53).
@@ -25,7 +32,7 @@ import numpy as np
 
 PRIME_1 = 4194301
 PRIME_2 = 4194287
-_CHUNK = 512  # rows per exact float64 accumulation chunk
+_CHUNK = 512  # inner dimension per exact float64 accumulation
 
 _HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
 _HASH_OFFS = np.uint64(0x2545F4914F6CDD1D)
@@ -47,36 +54,6 @@ class PrimeField:
             raise ValueError(f"p={p} too large for exact float64 accumulation")
         self.p = p
 
-    def vec(self, v: np.ndarray) -> np.ndarray:
-        return np.mod(np.asarray(v, dtype=np.int64), self.p)
-
-    def is_zero(self, v: np.ndarray) -> bool:
-        return not v.any()
-
-    def first_nonzero(self, v: np.ndarray) -> int:
-        return int(np.nonzero(v)[0][0])
-
-    def normalize(self, v: np.ndarray, pivot: int) -> np.ndarray:
-        inv = pow(int(v[pivot]), -1, self.p)
-        return (v * inv) % self.p
-
-    def reduce(self, v, rows, pivots):
-        """Fully reduce v against an RREF row list (any order is valid)."""
-        v = v.copy()
-        for start in range(0, len(rows), _CHUNK):
-            chunk = rows[start : start + _CHUNK]
-            coeffs = v[pivots[start : start + _CHUNK]]
-            if coeffs.any():
-                v = (v - coeffs @ np.asarray(chunk)) % self.p
-        return v
-
-    def eliminate(self, rows, new_row, pivot):
-        """Clear the new pivot column from existing RREF rows, in place."""
-        for i, r in enumerate(rows):
-            c = r[pivot]
-            if c:
-                rows[i] = (r - c * new_row) % self.p
-
     def __repr__(self):
         return f"PrimeField({self.p})"
 
@@ -84,37 +61,38 @@ class PrimeField:
 class RationalDomain:
     """Exact rationals via Fraction object arrays.  Desk scale only."""
 
-    def vec(self, v: np.ndarray) -> np.ndarray:
-        return np.array([Fraction(int(x)) for x in np.asarray(v).ravel()], dtype=object)
-
-    def is_zero(self, v) -> bool:
-        return all(x == 0 for x in v)
-
-    def first_nonzero(self, v) -> int:
-        for i, x in enumerate(v):
-            if x != 0:
-                return i
-        raise ValueError("zero vector")
-
-    def normalize(self, v, pivot):
-        return v / v[pivot]
-
-    def reduce(self, v, rows, pivots):
-        v = v.copy()
-        for r, piv in zip(rows, pivots):
-            c = v[piv]
-            if c != 0:
-                v = v - c * r
-        return v
-
-    def eliminate(self, rows, new_row, pivot):
-        for i, r in enumerate(rows):
-            c = r[pivot]
-            if c != 0:
-                rows[i] = r - c * new_row
-
     def __repr__(self):
         return "RationalDomain()"
+
+
+def _mod_p(v: np.ndarray, p: int) -> np.ndarray:
+    """Exact ``v mod p`` in [0, p) for float64 integers with |v| <= 2^53 - p.
+
+    ``floor(v / p)`` can be one off where the rounded quotient crosses an
+    integer; the bound keeps ``p * floor(v / p)`` exact, and one fixup on
+    each side corrects the remainder.  Several times faster than ``np.mod``.
+    """
+    q = v / p
+    np.floor(q, out=q)
+    q *= p
+    r = np.subtract(v, q, out=q)
+    np.add(r, p, out=r, where=r < 0)
+    np.subtract(r, p, out=r, where=r >= p)
+    return r
+
+
+def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int, acc=None) -> np.ndarray:
+    """Exact ``(acc + a @ b) mod p`` in float64, batched over leading axes.
+
+    Entries of ``a`` lie in (-p, p), those of ``b`` in [0, p) and those of
+    ``acc`` in [0, p); the inner dimension is taken ``_CHUNK`` at a time, so
+    every partial sum stays below ``p + _CHUNK * (p - 1)^2 < 2^53`` in
+    magnitude and is exact.
+    """
+    for start in range(0, a.shape[-1], _CHUNK):
+        part = a[..., start : start + _CHUNK] @ b[..., start : start + _CHUNK, :]
+        acc = _mod_p(part if acc is None else acc + part, p)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -124,9 +102,10 @@ class RationalDomain:
 class MatrixSpanBasis:
     """Reduced-echelon basis of vectorized n x n matrices.
 
-    Vectorization is row-major; pivots are first nonzero coordinates and
-    strictly increase along insertion history only in the sense of RREF
-    (each row's pivot column is zero in every other row).
+    Vectorization is row-major; each row's pivot is its first nonzero
+    coordinate, normalized to 1, and every pivot column is zero in every
+    other row.  Rows stay in the order they were kept, so the basis equals
+    the one that inserting the same vectors one at a time would build.
     """
 
     def __init__(self, n: int, domain=None):
@@ -134,7 +113,7 @@ class MatrixSpanBasis:
         self.domain = domain if domain is not None else PrimeField()
         self._prime = isinstance(self.domain, PrimeField)
         if self._prime:
-            self._mat = np.zeros((16, n * n), dtype=np.int64)
+            self._mat = np.zeros((16, n * n))
             self._piv = np.zeros(16, dtype=np.int64)
             self._rank = 0
         else:
@@ -150,47 +129,81 @@ class MatrixSpanBasis:
 
     def insert(self, vec) -> bool:
         """Insert a vector; returns True iff it increased the rank."""
-        if self._prime:
-            return self._insert_prime(vec)
-        d = self.domain
-        v = d.reduce(d.vec(vec), self.rows, self.pivots)
-        if d.is_zero(v):
+        return bool(self.insert_batch(np.asarray(vec).reshape(1, -1))[0])
+
+    def insert_batch(self, rows) -> np.ndarray:
+        """Insert the rows of an (s, N) array, in order.
+
+        Returns the mask of the rows that increased the rank, in input
+        order: the results of inserting them one at a time.  Over a prime
+        field the entries must be integers with |x| <= 2^53 - p.
+        """
+        if not self._prime:
+            return np.array([self._insert_rational(r) for r in rows], dtype=bool)
+        p = self.domain.p
+        r = self._rank
+        basis = self._mat[:r]
+        v = _mod_p(np.asarray(rows, dtype=np.float64), p)
+        # 1. reduce the batch against the basis
+        coeffs = v[:, self._piv[:r]]
+        if coeffs.any():
+            v = _matmul_mod(-coeffs, basis, p, acc=v)
+        # 2. eliminate the survivors in order; each kept row's pivot column
+        # is cleared from every other row of the batch, kept or pending
+        kept = np.zeros(len(v), dtype=bool)
+        pivots = []
+        for i in np.flatnonzero(v.any(axis=1)):
+            nz = np.flatnonzero(v[i])
+            if nz.size == 0:
+                continue
+            piv = int(nz[0])
+            v[i] = _mod_p(v[i] * pow(int(v[i, piv]), -1, p), p)
+            col = v[:, piv].copy()
+            col[i] = 0
+            hit = np.flatnonzero(col)
+            if hit.size:
+                v[hit] = _mod_p(v[hit] - np.outer(col[hit], v[i]), p)
+            kept[i] = True
+            pivots.append(piv)
+        if not pivots:
+            return kept
+        new = v[kept]
+        # 3. clear the new pivot columns from the old rows
+        coeffs = basis[:, pivots]
+        hit = np.flatnonzero(coeffs.any(axis=1))
+        if hit.size:
+            self._mat[hit] = _matmul_mod(-coeffs[hit], new, p, acc=basis[hit])
+        k = len(pivots)
+        if r + k > len(self._piv):
+            # zeroed pages stay unmapped until rows are written to them
+            cap = max(2 * len(self._piv), r + k)
+            mat, pivs = np.zeros((cap, self._mat.shape[1])), np.zeros(cap, np.int64)
+            mat[:r], pivs[:r] = basis, self._piv[:r]
+            self._mat, self._piv = mat, pivs
+        self._mat[r : r + k] = new
+        self._piv[r : r + k] = pivots
+        self._rank = r + k
+        return kept
+
+    def _insert_rational(self, vec) -> bool:
+        v = np.array([Fraction(int(x)) for x in np.asarray(vec).ravel()], dtype=object)
+        for row, piv in zip(self.rows, self.pivots):
+            if v[piv] != 0:
+                v = v - v[piv] * row
+        nz = np.flatnonzero(v)
+        if nz.size == 0:
             return False
-        piv = d.first_nonzero(v)
-        v = d.normalize(v, piv)
-        d.eliminate(self.rows, v, piv)
+        piv = int(nz[0])
+        v = v / v[piv]
+        for i, row in enumerate(self.rows):
+            if row[piv] != 0:
+                self.rows[i] = row - row[piv] * v
         self.rows.append(v)
         self.pivots.append(piv)
         return True
 
-    def _insert_prime(self, vec) -> bool:
-        p = self.domain.p
-        r = self._rank
-        v = np.mod(np.asarray(vec, dtype=np.int64).ravel(), p)
-        for start in range(0, r, _CHUNK):
-            stop = min(start + _CHUNK, r)
-            coeffs = v[self._piv[start:stop]]
-            if coeffs.any():
-                v = (v - coeffs @ self._mat[start:stop]) % p
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            return False
-        piv = int(nz[0])
-        v = (v * pow(int(v[piv]), -1, p)) % p
-        col = self._mat[:r, piv]
-        hit = np.nonzero(col)[0]
-        if hit.size:
-            self._mat[hit] = (self._mat[hit] - np.outer(col[hit], v)) % p
-        if r == self._mat.shape[0]:
-            self._mat = np.vstack([self._mat, np.zeros_like(self._mat)])
-            self._piv = np.append(self._piv, np.zeros_like(self._piv))
-        self._mat[r] = v
-        self._piv[r] = piv
-        self._rank = r + 1
-        return True
-
     def row_vectors(self):
-        """Basis rows as a 2-D array (prime field) or list (rationals)."""
+        """Basis rows as a 2-D float64 array (prime field) or list (rationals)."""
         if self._prime:
             return self._mat[: self._rank]
         return self.rows
@@ -262,11 +275,10 @@ def grow_products(basis: MatrixSpanBasis, generators: ColorMatrices, max_length:
     Returns (basis, stabilized_at): the first length whose increment added
     no rank, or max_length + 1 if growth never stalled.
     """
+    prime = isinstance(basis.domain, PrimeField)
+    gens = np.stack(generators.mats).astype(np.float64 if prime else object)
     if basis.rank == 0:
-        frontier = []
-        for m in generators:
-            if basis.insert_matrix(m):
-                frontier.append(np.asarray(m, dtype=np.int64))
+        frontier = gens[basis.insert_batch(gens.reshape(len(gens), -1))]
     else:
         frontier = basis.row_matrices()
 
@@ -274,24 +286,18 @@ def grow_products(basis: MatrixSpanBasis, generators: ColorMatrices, max_length:
     for length in range(2, max_length + 1):
         new_frontier = []
         for m in frontier:
-            for g in generators:
-                prod = _mat_product(m, g, basis.domain)
-                if basis.insert_matrix(prod):
-                    new_frontier.append(prod)
+            # m @ g for every generator g, in generator order
+            prods = m @ gens
+            if prime:
+                # g is 0/1 and entries of m are < p, so sums stay below n * p
+                prods = _mod_p(prods, basis.domain.p)
+            kept = basis.insert_batch(prods.reshape(len(gens), -1))
+            new_frontier.extend(prods[kept])
         if not new_frontier:
             stabilized_at = length
             break
         frontier = new_frontier
     return basis, stabilized_at
-
-
-def _mat_product(m, g, domain):
-    if isinstance(domain, PrimeField):
-        # g is 0/1, entries of m are < p, so sums stay below n * p < 2^63
-        return (np.asarray(m, dtype=np.int64) @ np.asarray(g, dtype=np.int64)) % domain.p
-    n = int(np.sqrt(np.asarray(m).size)) if np.asarray(m).ndim == 1 else m.shape[0]
-    mm = np.asarray(m, dtype=object).reshape(n, n)
-    return mm @ np.asarray(g, dtype=object)
 
 
 def partition_from_span(basis: MatrixSpanBasis, coords=None) -> np.ndarray:
@@ -306,7 +312,8 @@ def partition_from_span(basis: MatrixSpanBasis, coords=None) -> np.ndarray:
         stacked = basis.row_vectors()
         if coords is not None:
             stacked = stacked[:, coords]
-        return _labels_from_columns(stacked)
+        # int64 labels: a -0.0 entry must not split a class from 0.0
+        return _labels_from_columns(stacked.astype(np.int64))
     cols = basis.signature_columns(coords)
     seen = {}
     labels = np.empty(cols.shape[1], dtype=np.int64)
@@ -387,7 +394,8 @@ def sampled_span_profile(
 
     flat_coords = np.asarray(coords, dtype=np.int64)
     hashes = [np.full(flat_coords.size, _HASH_OFFS, dtype=np.uint64) for _ in primes]
-    ranks = [_SampledRank(p) if want_rank else None for p in primes]
+    ranks = [MatrixSpanBasis(n_tot, PrimeField(p)) if want_rank else None
+             for p in primes]
     rngs = [np.random.default_rng((seed, p)) for p in primes]
 
     def fresh_factors(i: int, count: int) -> np.ndarray:
@@ -408,13 +416,13 @@ def sampled_span_profile(
         saturated = want_rank
         for i, p in enumerate(primes):
             if length > 1:
-                chains[i] = _matmul_mod(chains[i], fresh_factors(i, num_chains), p, n_tot)
+                chains[i] = _matmul_mod(chains[i], fresh_factors(i, num_chains), p)
             samples = chains[i].reshape(num_chains, n_tot * n_tot)
             picked = samples[:, flat_coords].astype(np.uint64)
             for row in picked:
                 hashes[i] = hashes[i] * _HASH_MULT + row
             if ranks[i] is not None:
-                added = ranks[i].insert_batch(samples)
+                added = int(ranks[i].insert_batch(samples).sum())
                 changed |= added > 0
                 saturated &= added == num_chains
         sig = np.stack(hashes, axis=1)
@@ -432,7 +440,7 @@ def sampled_span_profile(
                 extra = min(max_samples, num_chains * 2) - num_chains
                 for i, p in enumerate(primes):
                     derived = _matmul_mod(
-                        chains[i][:extra], fresh_factors(i, extra), p, n_tot
+                        chains[i][:extra], fresh_factors(i, extra), p
                     )
                     chains[i] = np.concatenate([chains[i], derived])
                 num_chains += extra
@@ -463,77 +471,6 @@ def sampled_span_profile(
         stabilized_length=stabilized_length,
         lengths_used=length,
     )
-
-
-def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int, n: int) -> np.ndarray:
-    """Exact (a @ b) mod p in float64 (batched ok); chunks if n p^2 >= 2^53."""
-    if n * p * p < 2**53:
-        return np.mod(a @ b, p)
-    out = np.zeros(np.broadcast_shapes(a.shape[:-1] + b.shape[-1:]), dtype=np.float64)
-    for start in range(0, n, _CHUNK):
-        out += a[..., :, start : start + _CHUNK] @ b[..., start : start + _CHUNK, :]
-        out %= p
-    return out
-
-
-class _SampledRank:
-    """Incremental RREF rank tracker over one prime, float64 storage.
-
-    Batched: a whole length's samples are reduced against the basis with
-    one BLAS product per 512-row chunk (keeping every accumulation exact in
-    float64), then eliminated among themselves and folded back in.
-    """
-
-    def __init__(self, p: int):
-        self.p = p
-        self.basis = None       # (rank, N) float64, RREF, pivot entries 1
-        self.pivots = np.empty(0, dtype=np.int64)
-
-    @property
-    def rank(self) -> int:
-        return 0 if self.basis is None else self.basis.shape[0]
-
-    def insert_batch(self, batch: np.ndarray) -> int:
-        """Insert sample rows (s, N); returns how many increased the rank."""
-        p = self.p
-        v = np.mod(np.atleast_2d(batch).astype(np.float64), p)
-        if self.basis is not None:
-            for start in range(0, self.basis.shape[0], _CHUNK):
-                blk = self.basis[start : start + _CHUNK]
-                coeffs = v[:, self.pivots[start : start + _CHUNK]]
-                if coeffs.any():
-                    v = np.mod(v - coeffs @ blk, p)
-        new_rows, new_pivs = [], []
-        for row in v:
-            for r, piv in zip(new_rows, new_pivs):
-                c = row[piv]
-                if c:
-                    row = np.mod(row - c * r, p)
-            nz = np.nonzero(row)[0]
-            if nz.size == 0:
-                continue
-            piv = int(nz[0])
-            row = np.mod(row * pow(int(row[piv]), -1, p), p)
-            for j, r in enumerate(new_rows):
-                c = r[piv]
-                if c:
-                    new_rows[j] = np.mod(r - c * row, p)
-            new_rows.append(row)
-            new_pivs.append(piv)
-        if not new_rows:
-            return 0
-        vn = np.array(new_rows)
-        pv = np.array(new_pivs, dtype=np.int64)
-        if self.basis is None:
-            self.basis = vn
-            self.pivots = pv
-        else:
-            coeffs = self.basis[:, pv]  # inner dim <= batch size, exact
-            if coeffs.any():
-                self.basis = np.mod(self.basis - coeffs @ vn, p)
-            self.basis = np.vstack([self.basis, vn])
-            self.pivots = np.concatenate([self.pivots, pv])
-        return len(new_rows)
 
 
 __all__ = [

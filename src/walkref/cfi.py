@@ -115,13 +115,6 @@ class CfiGraph:
     def vertex_id(self, base_vertex: int, parity) -> int:
         return self._vertex_ids[(base_vertex, tuple(parity))]
 
-    def edge_origin(self, x: int, y: int):
-        """Base edge that a cross-gadget vertex pair originates from."""
-        bu, bv = self.vertex_origin[x][0], self.vertex_origin[y][0]
-        if bu == bv or not self.base.graph.has_edge(bu, bv):
-            return None
-        return _norm_edge((bu, bv))
-
     def __post_init__(self):
         ranges, ids = {}, {}
         for idx, (bv, parity) in enumerate(self.vertex_origin):

@@ -8,7 +8,10 @@ from enum import Enum
 
 import numpy as np
 
-from .interner import ColorInterner, EDGE, LOOP, NONEDGE
+# the three atomic colors; refinements mint class ids from 3 upward
+LOOP = 0
+EDGE = 1
+NONEDGE = 2
 
 
 @dataclass(frozen=True)
@@ -66,25 +69,37 @@ class SimpleGraph:
 
 
 def load_graph_json(text_or_dict) -> SimpleGraph:
-    """Parse the {"n": int, "edges": [[u,v], ...]} wire format."""
+    """Parse the {"n": int, "edges": [[u,v], ...]} wire format.
+
+    The vertex count and ids must be ints (bools are rejected); any
+    malformed input raises ValueError.
+    """
     obj = text_or_dict
     if isinstance(obj, (str, bytes)):
         obj = json.loads(obj)
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ValueError("graph JSON must be an object with 'n' and 'edges'")
-    n = obj["n"]
-    if not isinstance(n, int) or n < 1:
+    n, edges = obj["n"], obj["edges"]
+    if not _is_int(n) or n < 1:
         raise ValueError(f"invalid vertex count {n!r}")
-    return SimpleGraph.from_edges(n, [tuple(e) for e in obj["edges"]])
+    if not isinstance(edges, list) or not all(
+        isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))
+        for e in edges
+    ):
+        raise ValueError("'edges' must be a list of [u, v] pairs of ints")
+    return SimpleGraph.from_edges(n, [tuple(e) for e in edges])
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass
 class ColoredCompleteGraph:
-    """Complete directed graph with an n x n table of interned color ids."""
+    """Complete directed graph with an n x n table of color ids."""
 
     n: int
     color: np.ndarray
-    converse_equivalent: bool = True
 
     def __post_init__(self):
         self.color = np.asarray(self.color, dtype=np.int64)
@@ -92,7 +107,7 @@ class ColoredCompleteGraph:
             raise ValueError("color table shape mismatch")
 
     def copy(self) -> "ColoredCompleteGraph":
-        return ColoredCompleteGraph(self.n, self.color.copy(), self.converse_equivalent)
+        return ColoredCompleteGraph(self.n, self.color.copy())
 
 
 def initial_coloring(g: SimpleGraph) -> ColoredCompleteGraph:
@@ -102,7 +117,7 @@ def initial_coloring(g: SimpleGraph) -> ColoredCompleteGraph:
     for u, v in g.edges:
         table[u, v] = EDGE
         table[v, u] = EDGE
-    return ColoredCompleteGraph(g.n, table, converse_equivalent=True)
+    return ColoredCompleteGraph(g.n, table)
 
 
 @dataclass
@@ -118,7 +133,7 @@ class InvariantReport:
 
 def check_invariants(c: ColoredCompleteGraph) -> InvariantReport:
     """Exhaustively verify loop/non-loop color disjointness and converse
-    equivalence (the stored flag is not trusted)."""
+    equivalence."""
     n = c.n
     loop_colors = set(np.diag(c.color).tolist())
     off = c.color[~np.eye(n, dtype=bool)]
@@ -236,7 +251,6 @@ def _refines(a: np.ndarray, b: np.ndarray) -> bool:
 __all__ = [
     "SimpleGraph",
     "ColoredCompleteGraph",
-    "ColorInterner",
     "PairPartition",
     "PartitionOrder",
     "InvariantReport",

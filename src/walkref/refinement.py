@@ -1,8 +1,8 @@
 """Iterated pair refinements: 2-walk (Weisfeiler-Leman), k-walk, and walk.
 
 All three refinements act on a ``Workspace`` of one or two colored complete
-graphs sharing a color interner, so that class ids stay comparable across
-the joint universe.  The k-walk partition of a coloring equals the
+graphs sharing one class-id counter, so that class ids stay comparable
+across the joint universe.  The k-walk partition of a coloring equals the
 coordinate-equality partition of the span of products of its color
 adjacency matrices with at most k factors (stationary walks on loop colors
 embed every shorter length), which gives an exact linear-algebra route in
@@ -31,7 +31,6 @@ from .algebra import (
     sampled_span_profile,
 )
 from .graph_core import ColoredCompleteGraph, PairPartition, initial_coloring
-from .interner import ColorInterner
 
 NAIVE_WALK_BUDGET = 10**7
 EXACT_METHOD_MAX_VERTICES = 40  # auto switches to sampling above this
@@ -72,10 +71,11 @@ class RefinementKind:
 
 @dataclass
 class Workspace:
-    """One or two colorings under joint refinement, sharing an interner."""
+    """One or two colorings under joint refinement, sharing class ids."""
 
     colorings: list
-    interner: ColorInterner = field(default_factory=ColorInterner)
+    # ids 0-2 are the atoms LOOP, EDGE, NONEDGE
+    next_class_id: int = field(default=3, init=False)
 
     def __post_init__(self):
         if not 1 <= len(self.colorings) <= 2:
@@ -94,6 +94,15 @@ class Workspace:
     @property
     def total_vertices(self) -> int:
         return sum(self.sizes)
+
+    def fresh_class_block(self, num_classes: int) -> int:
+        """Mint ``num_classes`` consecutive unused class ids.
+
+        Returns the first id of the block; class ``i`` gets id ``base + i``.
+        """
+        base = self.next_class_id
+        self.next_class_id += num_classes
+        return base
 
     def partition(self) -> PairPartition:
         return PairPartition.from_colorings(self.colorings)
@@ -309,10 +318,10 @@ def _joint_row_labels(rows_per_graph):
 
 
 def _install_labels(ws: Workspace, labels: np.ndarray) -> np.ndarray:
-    """Mint fresh interned class colors for canonical labels and write the
-    new color tables.  Returns the canonical labels."""
+    """Mint fresh class colors for canonical labels and write the new color
+    tables.  Returns the canonical labels."""
     flat = PairPartition(ws.sizes, labels).labels
-    base = ws.interner.fresh_class_block(int(flat.max()) + 1)
+    base = ws.fresh_class_block(int(flat.max()) + 1)
     off = 0
     for c in ws.colorings:
         c.color = (flat[off : off + c.n * c.n] + base).reshape(c.n, c.n)

@@ -21,12 +21,12 @@ distinguishing sentence of depth m + 1.
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import SimpleGraph
-from .interner import EDGE, LOOP, NONEDGE
+from .graph_core import EDGE, LOOP, NONEDGE, SimpleGraph
 from .refinement import RefinementHistory, Workspace, naive_k_walk_step
 
 DEFAULT_TUPLES_PER_QUANTIFIER = 10**7
@@ -41,7 +41,7 @@ class WalkFormula:
     children.  Nodes are interned, so structural equality is identity.
     """
 
-    __slots__ = ("op", "j", "parts", "_depth", "_size")
+    __slots__ = ("op", "j", "parts", "_depth", "_size", "__weakref__")
 
     def __init__(self, op, j, parts):
         self.op = op
@@ -78,7 +78,9 @@ class WalkFormula:
         return f"<WalkFormula {self.op} depth={self._depth} size={self._size}>"
 
 
-_INTERN: dict = {}
+# Weak values free formulas nobody holds; a live node keeps its parts
+# alive, so the part ids in its key cannot be reused while it is listed.
+_INTERN = weakref.WeakValueDictionary()
 
 
 def _mk(op, j, parts) -> WalkFormula:

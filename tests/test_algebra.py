@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from walkref.algebra import (
+    PRIME_1,
+    PRIME_2,
     MatrixSpanBasis,
     PrimeField,
     RationalDomain,
@@ -14,6 +16,7 @@ from walkref.algebra import (
     sampled_span_profile,
     span_basis_from,
 )
+from walkref.algebra import _CHUNK, _mod_p
 from walkref.graph_core import SimpleGraph, initial_coloring
 
 
@@ -48,6 +51,76 @@ class TestSpanBasis:
         for m in mats:
             assert bp.insert_matrix(m) == bq.insert_matrix(m)
         assert bp.rank == bq.rank
+
+
+def reference_rref(batches, p):
+    """Sequential int64 RREF mod p: per-batch kept masks, rows, pivots."""
+    rows, pivots, masks = np.zeros((0, len(batches[0][0])), np.int64), [], []
+    for batch in batches:
+        mask = []
+        for v in np.asarray(batch, dtype=np.int64) % p:
+            hit = np.flatnonzero(v[pivots])
+            v = (v - v[pivots][hit] @ rows[hit]) % p
+            nz = np.flatnonzero(v)
+            mask.append(nz.size > 0)
+            if nz.size:
+                v = v * pow(int(v[nz[0]]), -1, p) % p
+                hit = np.flatnonzero(rows[:, nz[0]])
+                rows[hit] = (rows[hit] - np.outer(rows[hit, nz[0]], v)) % p
+                rows = np.vstack([rows, v])
+                pivots.append(int(nz[0]))
+        masks.append(mask)
+    return masks, rows, pivots
+
+
+class TestBatchInsert:
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(
+        st.lists(st.lists(st.sampled_from([-1, 0, 0, 0, 1]), min_size=9,
+                          max_size=9), min_size=1, max_size=6),
+        min_size=1, max_size=4))
+    def test_matches_sequential_rational(self, batches):
+        # entries in {-1, 0, 1} keep every 9 x 9 minor below 3^9 < p, so
+        # the rank over the rationals equals the rank mod p
+        bp = MatrixSpanBasis(3, PrimeField())
+        bq = MatrixSpanBasis(3, RationalDomain())
+        for batch in batches:
+            mask = bp.insert_batch(np.array(batch))
+            assert mask.tolist() == [bq.insert(r) for r in batch]
+        assert bp.rank == bq.rank
+
+    def test_wide_batch_near_p_is_exact(self):
+        # a batch keeping more than _CHUNK rows clears its pivot columns
+        # from the old rows with sums of more than _CHUNK odd products of
+        # size (p - 2)^2, which float64 holds exactly only chunk by chunk
+        p = PRIME_1
+        n_old, n_new, width = 100, _CHUNK + 88, 36 * 36
+        old = np.zeros((n_old, width), np.int64)
+        old[:, :n_old] = np.eye(n_old, dtype=np.int64)
+        old[:, n_old : n_old + n_new] = p - 2
+        new = np.zeros((n_new, width), np.int64)
+        new[:, n_old : n_old + n_new] = np.eye(n_new, dtype=np.int64)
+        new[:, n_old + n_new :] = p - 2
+        rng = np.random.default_rng(0)
+        last = rng.integers(p - 50, p, size=(4, width))
+        batches = [old, new, last]
+        basis = MatrixSpanBasis(36, PrimeField(p))
+        masks = [basis.insert_batch(b).tolist() for b in batches]
+        ref_masks, ref_rows, ref_pivots = reference_rref(batches, p)
+        assert masks == ref_masks and sum(masks[1]) > _CHUNK
+        assert np.array_equal(basis.row_vectors(), ref_rows)
+        assert np.array_equal(basis._piv[: basis.rank], ref_pivots)
+
+
+@pytest.mark.parametrize("p", [3, PRIME_2, PRIME_1])
+def test_mod_p_exact(p):
+    top = 2**53 // p
+    values = [k * p + d for k in (0, 1, 2, 1000, top - 1, top) for d in (-1, 0, 1)]
+    values += [2**53 - p, 2**53 - p - 1]
+    values = [x for x in values if abs(x) <= 2**53 - p]
+    values += [-x for x in values]
+    got = _mod_p(np.array(values, dtype=np.float64), p)
+    assert got.tolist() == [float(x % p) for x in values]
 
 
 class TestColorMatrices:

@@ -121,6 +121,20 @@ class TestUsageErrors:
         code, _ = run(capsys, "dims", "--graph", "/nonexistent.json")
         assert code == 2
 
+    @pytest.mark.parametrize("payload", [
+        '{"n": true, "edges": []}',
+        '{"n": 2, "edges": [[0.0, 1.5]]}',
+        '{"n": 2, "edges": 5}',
+        '{"n": 2, "edges": [["0", 1]]}',
+        '{"n": 3, "edges": [[0, 1, 2]]}',
+    ])
+    def test_malformed_graph(self, capsys, tmp_path, payload):
+        path = tmp_path / "g.json"
+        path.write_text(payload)
+        # an uncaught exception would propagate out of main() here
+        assert main(["refine", "--graph", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read graph")
+
     def test_csv_unsupported_command(self, cfi_pair):
         plain, _ = cfi_pair
         with pytest.raises(SystemExit) as exc:

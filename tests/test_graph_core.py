@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from walkref.graph_core import (
+    EDGE,
+    LOOP,
+    NONEDGE,
     ColoredCompleteGraph,
     PairPartition,
     PartitionOrder,
@@ -15,7 +18,7 @@ from walkref.graph_core import (
     load_graph_json,
     partition_of,
 )
-from walkref.interner import EDGE, LOOP, NONEDGE, ColorInterner
+from walkref.refinement import Workspace
 
 
 def cycle(n):
@@ -86,20 +89,16 @@ class TestInitialColoring:
 
 
 class TestInterner:
-    def test_atoms_fixed(self):
-        it = ColorInterner()
-        assert (LOOP, EDGE, NONEDGE) == (0, 1, 2)
-        assert it.signature(0) == ("atom", "loop")
+    """Class ids: the three atoms, then the workspace's counter."""
 
-    def test_mset_order_insensitive(self):
-        it = ColorInterner()
-        assert it.mset([2, 0, 1]) == it.mset([0, 1, 2])
-        assert it.seq([0, 1]) != it.seq([1, 0])
+    def test_atoms_fixed(self):
+        assert (LOOP, EDGE, NONEDGE) == (0, 1, 2)
+        assert Workspace.from_graphs(cycle(3)).fresh_class_block(1) == 3
 
     def test_fresh_blocks_disjoint(self):
-        it = ColorInterner()
-        a = it.fresh_class_block(3)
-        b = it.fresh_class_block(3)
+        ws = Workspace.from_graphs(cycle(3))
+        a = ws.fresh_class_block(3)
+        b = ws.fresh_class_block(3)
         assert len({a, a + 1, a + 2, b, b + 1, b + 2}) == 6
 
 

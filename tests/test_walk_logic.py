@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from walkref.refinement import (
     iterations_to_distinguish,
     stabilize,
 )
+from walkref import walk_logic
 from walkref.walk_logic import (
     ADJ,
     EQ,
@@ -123,6 +126,19 @@ class TestHashConsing:
         shared = not_(and_([ADJ, EQ]))  # 4 nodes
         f = and_([shared, not_(shared)])
         assert f.dag_size == 6
+
+    def test_table_frees_dropped_formulas(self):
+        gc.collect()
+        before = len(walk_logic._INTERN)
+        chain = [EQ]
+        for j in range(1, 50):
+            chain.append(walk_quant(j, [chain[-1], ADJ]))
+        f = chain[-1]
+        assert len(walk_logic._INTERN) == before + 49
+        assert parse_sexpr(to_sexpr(f)) is f
+        del chain, f
+        gc.collect()
+        assert len(walk_logic._INTERN) == before
 
     def test_depth(self):
         assert EQ.quantifier_depth == 0 and TOP.quantifier_depth == 0
