@@ -9,9 +9,12 @@ delayed-reduction scheme of FFLAS (Dumas, Giorgi & Pernet, ACM TOMS 2008).
 Over the rationals it keeps Fraction rows, as the exact oracle at desk
 scale.  Two closures use the engine:
 
-* an exact, deterministic closure (``grow_products``) that multiplies each
-  frontier matrix by every generator at once and batch-inserts the
-  products, used as the ground-truth route at desk scale, and
+* an exact, deterministic closure (``grow_products``) that multiplies a
+  group of frontier matrices by every generator at once, inserts up to
+  ``_BATCH_ROWS`` products per batch, and stops as soon as the rank reaches
+  the size of the generators' support (the full block-diagonal algebra,
+  whose partition is discrete), used as the ground-truth route at desk
+  scale, and
 * a seeded randomized closure (``sampled_span_profile``) that profiles the
   span of all products of the color adjacency matrices through random
   products evaluated modulo two independent primes.  Equal walk counts give
@@ -33,6 +36,7 @@ import numpy as np
 PRIME_1 = 4194301
 PRIME_2 = 4194287
 _CHUNK = 512  # inner dimension per exact float64 accumulation
+_BATCH_ROWS = 128  # products per insert_batch call in grow_products
 
 _HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
 _HASH_OFFS = np.uint64(0x2545F4914F6CDD1D)
@@ -208,9 +212,6 @@ class MatrixSpanBasis:
             return self._mat[: self._rank]
         return self.rows
 
-    def row_matrices(self):
-        return [np.asarray(r).reshape(self.n, self.n) for r in self.row_vectors()]
-
     def signature_columns(self, coords=None):
         """Per-coordinate entry tuples across all basis rows."""
         stacked = np.array(list(self.row_vectors()), dtype=object)
@@ -269,35 +270,49 @@ def span_basis_from(generators: ColorMatrices, domain=None) -> MatrixSpanBasis:
 
 
 def grow_products(basis: MatrixSpanBasis, generators: ColorMatrices, max_length: int):
-    """Grow the basis by right-multiplication with the generators.
+    """Grow an empty basis by right-multiplication with the generators.
 
     After processing length j the basis spans all products of length <= j.
+    Each length multiplies up to ``_BATCH_ROWS // len(generators)`` frontier
+    matrices (at least one) by every generator with one matmul and inserts
+    the products as one batch, in frontier-then-generator order, which keeps
+    the rows and the frontier of one-at-a-time insertion.  The closure stops
+    once the rank equals the size of the generators' support: the span then
+    holds every matrix on the support (closed under products, as the blocks
+    of a coloring or a joint pair are), so no product can add rank.
+
     Returns (basis, stabilized_at): the first length whose increment added
-    no rank, or max_length + 1 if growth never stalled.
+    no rank, which the full-rank stop gives as the length after the one
+    that reached full rank, or max_length + 1 if growth never stalled.
     """
     prime = isinstance(basis.domain, PrimeField)
-    gens = np.stack(generators.mats).astype(np.float64 if prime else object)
-    if basis.rank == 0:
-        frontier = gens[basis.insert_batch(gens.reshape(len(gens), -1))]
-    else:
-        frontier = basis.row_matrices()
+    gens = np.stack(generators.mats)
+    full = int(np.count_nonzero(gens.any(axis=0)))
+    gens = gens.astype(np.float64 if prime else object)
+    n = generators.n
+    if basis.rank:
+        # the full-rank stop needs every basis row on the generators' support
+        raise ValueError("grow_products starts from an empty basis")
+    frontier = gens[basis.insert_batch(gens.reshape(len(gens), -1))]
+    step = max(1, _BATCH_ROWS // len(gens))
 
-    stabilized_at = max_length + 1
     for length in range(2, max_length + 1):
-        new_frontier = []
-        for m in frontier:
-            # m @ g for every generator g, in generator order
-            prods = m @ gens
+        if basis.rank == full:
+            return basis, length
+        kept = []
+        for start in range(0, len(frontier), step):
+            # m @ g for each frontier matrix m, then each generator g
+            prods = (frontier[start : start + step, None] @ gens).reshape(-1, n, n)
             if prime:
                 # g is 0/1 and entries of m are < p, so sums stay below n * p
                 prods = _mod_p(prods, basis.domain.p)
-            kept = basis.insert_batch(prods.reshape(len(gens), -1))
-            new_frontier.extend(prods[kept])
-        if not new_frontier:
-            stabilized_at = length
-            break
-        frontier = new_frontier
-    return basis, stabilized_at
+            kept.append(prods[basis.insert_batch(prods.reshape(len(prods), -1))])
+            if basis.rank == full:
+                break
+        frontier = np.concatenate(kept)
+        if len(frontier) == 0:
+            return basis, length
+    return basis, max_length + 1
 
 
 def partition_from_span(basis: MatrixSpanBasis, coords=None) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success / all verdicts passing, 1 on a property failure
 (a verdict is false or a run cannot satisfy its precondition), 2 on usage
-errors (bad flags, unreadable inputs).
+errors (bad flags, unreadable inputs), 3 when the two prime-field algebra
+runs disagree (``AlgebraCrossCheckError``), so no result is trusted.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import json
 import sys
 
 from . import __version__
+from .algebra import AlgebraCrossCheckError
 from .cfi import build_cfi, default_twist, grid_base
 from .experiments import (
     run_lower_bound,
@@ -314,6 +316,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except AlgebraCrossCheckError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,8 +18,8 @@ from walkref.algebra import (
     sampled_span_profile,
     span_basis_from,
 )
-from walkref.algebra import _CHUNK, _mod_p
-from walkref.graph_core import SimpleGraph, initial_coloring
+from walkref.algebra import _BATCH_ROWS, _CHUNK, _mod_p
+from walkref.graph_core import ColoredCompleteGraph, SimpleGraph, initial_coloring
 
 
 def cycle(n):
@@ -26,6 +28,12 @@ def cycle(n):
 
 def complete(n):
     return SimpleGraph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def discrete(n, first_color=0):
+    """Coloring with a color of its own at every pair, from first_color up."""
+    table = first_color + np.arange(n * n, dtype=np.int64).reshape(n, n)
+    return ColoredCompleteGraph(n, table)
 
 
 class TestSpanBasis:
@@ -149,6 +157,13 @@ class TestGrowProducts:
         basis, stab = grow_products(MatrixSpanBasis(3), gens, max_length=9)
         assert basis.rank == 1 and stab == 2
 
+    def test_rejects_non_empty_basis(self):
+        gens = color_matrices(discrete(2))
+        basis = MatrixSpanBasis(2)
+        basis.insert_matrix(np.ones((2, 2), dtype=np.int64))
+        with pytest.raises(ValueError, match="empty basis"):
+            grow_products(basis, gens, 5)
+
     def test_k3_closure_dimension_two(self):
         # span{I, J-I} is closed: (J-I)^2 = 2I + (J-I) on three vertices
         assert algebra_dimension(initial_coloring(complete(3))) == 2
@@ -157,18 +172,95 @@ class TestGrowProducts:
         assert algebra_dimension(initial_coloring(cycle(5))) == 3
 
     def test_discrete_coloring_full_rank(self):
-        n = 3
-        table = np.arange(n * n, dtype=np.int64).reshape(n, n)
-        from walkref.graph_core import ColoredCompleteGraph
-
-        c = ColoredCompleteGraph(n, table)
-        assert algebra_dimension(c) == n * n
+        assert algebra_dimension(discrete(3)) == 9
 
     def test_rational_agrees_with_prime_field(self):
         c = initial_coloring(cycle(6))
         dp = algebra_dimension(c)
         dq = algebra_dimension(c, domain=RationalDomain(), max_length=12)
         assert dp == dq
+
+
+def reference_closure(gens, domain):
+    """Each frontier matrix times each generator, inserted one at a time,
+    every length until one adds nothing.  Returns (basis, stall length)."""
+    prime = isinstance(domain, PrimeField)
+    mats = [np.asarray(m, dtype=np.int64 if prime else object) for m in gens]
+    basis = MatrixSpanBasis(gens.n, domain)
+    frontier = [m for m in mats if basis.insert_matrix(m)]
+    length = 1
+    while frontier:
+        length += 1
+        new = []
+        for m in frontier:
+            for g in mats:
+                prod = m @ g % domain.p if prime else m @ g
+                if basis.insert_matrix(prod):
+                    new.append(prod)
+        frontier = new
+    return basis, length
+
+
+@st.composite
+def colorings(draw):
+    """One or two colorings: random tables over a few shared colors, or
+    discrete tables with colors distinct across the pair."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
+    if draw(st.booleans()):
+        out, offset = [], 0
+        for n in sizes:
+            out.append(discrete(n, offset))
+            offset += n * n
+        return out
+    k = draw(st.integers(1, 4))
+    return [ColoredCompleteGraph(n, np.array(draw(st.lists(
+        st.integers(0, k - 1), min_size=n * n, max_size=n * n)),
+        dtype=np.int64).reshape(n, n)) for n in sizes]
+
+
+class TestGrowProductsDifferential:
+    @settings(deadline=None, max_examples=80)
+    @given(colorings(), st.sampled_from(["prime1", "prime2", "rational"]),
+           st.sampled_from([1, 6, _BATCH_ROWS]))
+    def test_matches_one_at_a_time(self, cs, arith, batch_rows):
+        domain = {"prime1": PrimeField(PRIME_1), "prime2": PrimeField(PRIME_2),
+                  "rational": RationalDomain()}[arith]
+        gens = color_matrices(cs)
+        ref, stall = reference_closure(gens, domain)
+        # smaller batches split a length, and the full-rank stop, across calls
+        with mock.patch("walkref.algebra._BATCH_ROWS", batch_rows):
+            basis, stab = grow_products(MatrixSpanBasis(gens.n, domain), gens,
+                                        gens.n ** 2 + 1)
+        assert basis.rank == ref.rank and stab == stall
+        got, want = basis.row_vectors(), ref.row_vectors()
+        if arith == "rational":
+            assert [list(r) for r in got] == [list(r) for r in want]
+        else:
+            assert np.array_equal(got, want)
+
+
+class TestFullRankStop:
+    @staticmethod
+    def closure_rows(monkeypatch, cs):
+        """Rank, stabilized_at and the rows passed to insert_batch."""
+        rows = []
+        insert_batch = MatrixSpanBasis.insert_batch
+
+        def counted(self, batch):
+            rows.append(len(batch))
+            return insert_batch(self, batch)
+
+        monkeypatch.setattr(MatrixSpanBasis, "insert_batch", counted)
+        gens = color_matrices(cs)
+        basis, stab = grow_products(MatrixSpanBasis(gens.n), gens, 50)
+        return basis.rank, stab, sum(rows)
+
+    def test_discrete_closes_without_products(self, monkeypatch):
+        assert self.closure_rows(monkeypatch, discrete(4)) == (16, 2, 16)
+
+    def test_joint_pair_full_rank_is_block_sum(self, monkeypatch):
+        pair = [discrete(3), discrete(4, first_color=9)]
+        assert self.closure_rows(monkeypatch, pair) == (25, 2, 25)
 
 
 class TestPartitionFromSpan:

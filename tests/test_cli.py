@@ -141,6 +141,27 @@ class TestUsageErrors:
             main(["dims", "--graph", str(plain), "--format", "csv"])
         assert exc.value.code == 2
 
+    def test_cross_check_disagreement(self, capsys, tmp_path, monkeypatch):
+        import walkref.refinement as refinement
+        from walkref.algebra import PRIME_2
+
+        grow = refinement.grow_products
+
+        def truncated_check(basis, gens, max_length):
+            # the second-prime closure stops after the generators
+            if getattr(basis.domain, "p", None) == PRIME_2:
+                max_length = 1
+            return grow(basis, gens, max_length)
+
+        monkeypatch.setattr(refinement, "grow_products", truncated_check)
+        path = tmp_path / "g.json"
+        path.write_text('{"n": 3, "edges": [[0, 1], [1, 2]]}')
+        # an uncaught exception would propagate out of main() here
+        assert main(["dims", "--graph", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: exact ranks disagree across primes")
+        assert "Traceback" not in err
+
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
