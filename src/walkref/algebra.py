@@ -9,18 +9,16 @@ delayed-reduction scheme of FFLAS (Dumas, Giorgi & Pernet, ACM TOMS 2008).
 Over the rationals it keeps Fraction rows, as the exact oracle at desk
 scale.  Two closures use the engine:
 
-* an exact, deterministic closure (``grow_products``) that multiplies a
-  group of frontier matrices by every generator at once, inserts up to
-  ``_BATCH_ROWS`` products per batch, and stops as soon as the rank reaches
-  the size of the generators' support (the full block-diagonal algebra,
-  whose partition is discrete), used as the ground-truth route at desk
-  scale, and
-* a seeded randomized closure (``sampled_span_profile``) that profiles the
-  span of all products of the color adjacency matrices through random
-  products evaluated modulo two independent primes.  Equal walk counts give
-  equal sample entries unconditionally, so the sampled partition can only
-  err by merging (probability ~ p^-6 per coordinate pair); ranks are
-  tracked per prime by the engine and must agree.
+* an exact, deterministic closure (``grow_products``) of the products of
+  the color adjacency matrices, up to a length or to the whole algebra.
+  The whole algebra comes from two random combinations of the generators
+  and is certified by checking that it holds every generator, so the
+  draw can change the speed but never the answer (two generic elements
+  generate a semisimple algebra, as this one is, being closed under
+  transpose), and
+* a seeded randomized hasher (``sampled_span_profile``) of the
+  coordinate partition of the products, which can only err by merging
+  coordinates, with the Schwartz-Zippel bound stated there.
 
 Primes default to ~2^22 so that every inner product fits exactly in float64
 BLAS with 512-row chunking (p^2 * 512 < 2^53).
@@ -36,7 +34,8 @@ import numpy as np
 PRIME_1 = 4194301
 PRIME_2 = 4194287
 _CHUNK = 512  # inner dimension per exact float64 accumulation
-_BATCH_ROWS = 128  # products per insert_batch call in grow_products
+_BATCH_ROWS = 128  # products per insert_batch call in grow_products,
+_BATCH_ENTRIES = 2**17  # and at most this many entries (1 MiB of float64)
 
 _HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
 _HASH_OFFS = np.uint64(0x2545F4914F6CDD1D)
@@ -128,9 +127,6 @@ class MatrixSpanBasis:
     def rank(self) -> int:
         return self._rank if self._prime else len(self.rows)
 
-    def insert_matrix(self, m: np.ndarray) -> bool:
-        return self.insert(np.asarray(m).ravel())
-
     def insert(self, vec) -> bool:
         """Insert a vector; returns True iff it increased the rank."""
         return bool(self.insert_batch(np.asarray(vec).reshape(1, -1))[0])
@@ -212,13 +208,6 @@ class MatrixSpanBasis:
             return self._mat[: self._rank]
         return self.rows
 
-    def signature_columns(self, coords=None):
-        """Per-coordinate entry tuples across all basis rows."""
-        stacked = np.array(list(self.row_vectors()), dtype=object)
-        if coords is not None:
-            stacked = stacked[:, coords]
-        return stacked
-
 
 # ---------------------------------------------------------------------------
 # color adjacency matrices
@@ -226,7 +215,7 @@ class MatrixSpanBasis:
 
 @dataclass
 class ColorMatrices:
-    """0/1 adjacency matrix per color id present in a coloring.
+    """0/1 adjacency matrix per color present in a coloring, by color id.
 
     For a joint pair of graphs the matrices are block diagonal with zero
     off-diagonal blocks, and the partition-of-unity invariant holds within
@@ -234,7 +223,6 @@ class ColorMatrices:
     """
 
     n: int
-    colors: list
     mats: list = field(repr=False)
 
     def __iter__(self):
@@ -259,60 +247,94 @@ def color_matrices(colorings) -> ColorMatrices:
     table = block_color_table(colorings)
     colors = sorted(set(table.ravel().tolist()) - {-1})
     mats = [(table == c).astype(np.int64) for c in colors]
-    return ColorMatrices(table.shape[0], colors, mats)
+    return ColorMatrices(table.shape[0], mats)
 
 
-def span_basis_from(generators: ColorMatrices, domain=None) -> MatrixSpanBasis:
-    basis = MatrixSpanBasis(generators.n, domain)
-    for m in generators:
-        basis.insert_matrix(m)
-    return basis
+def grow_products(basis: MatrixSpanBasis, generators: ColorMatrices,
+                  max_length: int | None = None):
+    """Grow an empty basis into the span of products of the generators.
 
+    With a ``max_length`` the basis spans all products of at most that
+    many generators, closed by multiplying with every generator.  With
+    ``max_length=None`` it spans the whole algebra.  Over a prime field,
+    unless the coloring is discrete, that mode closes the span of two
+    fixed random combinations r1, r2 of the generators under right
+    multiplication by r1 and r2 alone, then inserts every generator.  The
+    span lies in the algebra and is closed under products, so it is the
+    algebra if its rank is the support size or no generator adds rank;
+    otherwise the all-generator closure runs from scratch.
 
-def grow_products(basis: MatrixSpanBasis, generators: ColorMatrices, max_length: int):
-    """Grow an empty basis by right-multiplication with the generators.
-
-    After processing length j the basis spans all products of length <= j.
-    Each length multiplies up to ``_BATCH_ROWS // len(generators)`` frontier
-    matrices (at least one) by every generator with one matmul and inserts
-    the products as one batch, in frontier-then-generator order, which keeps
-    the rows and the frontier of one-at-a-time insertion.  The closure stops
-    once the rank equals the size of the generators' support: the span then
-    holds every matrix on the support (closed under products, as the blocks
-    of a coloring or a joint pair are), so no product can add rank.
-
-    Returns (basis, stabilized_at): the first length whose increment added
-    no rank, which the full-rank stop gives as the length after the one
-    that reached full rank, or max_length + 1 if growth never stalled.
+    Returns (basis, stabilized_at), where the basis may be a fresh one.
+    ``stabilized_at`` is None when ``max_length`` is None, else the first
+    length whose increment added no rank (the full-rank stop gives the
+    length after the one that reached full rank), or max_length + 1 if
+    growth never stalled.
     """
-    prime = isinstance(basis.domain, PrimeField)
-    gens = np.stack(generators.mats)
-    full = int(np.count_nonzero(gens.any(axis=0)))
-    gens = gens.astype(np.float64 if prime else object)
-    n = generators.n
     if basis.rank:
         # the full-rank stop needs every basis row on the generators' support
         raise ValueError("grow_products starts from an empty basis")
-    frontier = gens[basis.insert_batch(gens.reshape(len(gens), -1))]
-    step = max(1, _BATCH_ROWS // len(gens))
+    gens = np.stack(generators.mats)
+    full = int(np.count_nonzero(gens.any(axis=0)))
+    prime = isinstance(basis.domain, PrimeField)
+    gens = gens.astype(np.float64 if prime else object)
+    # a discrete coloring's generators already span every matrix on the
+    # support, so the all-generator closure inserts them and stops
+    if max_length is None and prime and len(gens) < full:
+        pair = _random_pair(gens, basis.domain.p)
+        _close(basis, pair, pair, full, None)
+        added = basis.insert_batch(gens.reshape(len(gens), -1))
+        if basis.rank == full or not added.any():
+            return basis, None
+        basis = MatrixSpanBasis(generators.n, basis.domain)
+    stabilized_at = _close(basis, gens, gens, full, max_length)
+    return basis, None if max_length is None else stabilized_at
 
-    for length in range(2, max_length + 1):
+
+def _random_pair(gens: np.ndarray, p: int) -> np.ndarray:
+    """Two combinations of the generators with fixed random coefficients."""
+    coef = np.random.default_rng(0).integers(1, p, size=(2, len(gens)))
+    # the color matrices are disjoint, so each entry is one coefficient
+    return np.tensordot(coef.astype(np.float64), gens, axes=1)
+
+
+def _close(basis, seeds, factors, full, max_length):
+    """Insert the seeds, then right-multiply the frontier by every factor
+    until a length adds nothing or ``max_length`` (None: no bound).
+
+    Each group of frontier matrices times every factor is one matmul and
+    one batch of at most ``_BATCH_ROWS`` rows and ``_BATCH_ENTRIES``
+    entries (step 2 of ``insert_batch`` sweeps the batch once per kept
+    row), in frontier-then-factor order, which keeps the rows of
+    one-at-a-time insertion.  It stops once the rank equals ``full``, the
+    support size: the span then holds every matrix on the support, which
+    is closed under products.  Returns the stall length as
+    ``grow_products`` defines it.
+    """
+    n = basis.n
+    frontier = seeds[basis.insert_batch(seeds.reshape(len(seeds), -1))]
+    rows = min(_BATCH_ROWS, _BATCH_ENTRIES // (n * n))
+    step = max(1, rows // len(factors))
+    length = 1
+    while max_length is None or length < max_length:
+        length += 1
         if basis.rank == full:
-            return basis, length
+            return length
         kept = []
         for start in range(0, len(frontier), step):
-            # m @ g for each frontier matrix m, then each generator g
-            prods = (frontier[start : start + step, None] @ gens).reshape(-1, n, n)
-            if prime:
-                # g is 0/1 and entries of m are < p, so sums stay below n * p
-                prods = _mod_p(prods, basis.domain.p)
+            # m @ f for each frontier matrix m, then each factor f
+            group = frontier[start : start + step, None]
+            if basis._prime:
+                prods = _matmul_mod(group, factors, basis.domain.p)
+            else:
+                prods = group @ factors
+            prods = prods.reshape(-1, n, n)
             kept.append(prods[basis.insert_batch(prods.reshape(len(prods), -1))])
             if basis.rank == full:
                 break
         frontier = np.concatenate(kept)
         if len(frontier) == 0:
-            return basis, length
-    return basis, max_length + 1
+            return length
+    return max_length + 1
 
 
 def partition_from_span(basis: MatrixSpanBasis, coords=None) -> np.ndarray:
@@ -329,7 +351,9 @@ def partition_from_span(basis: MatrixSpanBasis, coords=None) -> np.ndarray:
             stacked = stacked[:, coords]
         # int64 labels: a -0.0 entry must not split a class from 0.0
         return _labels_from_columns(stacked.astype(np.int64))
-    cols = basis.signature_columns(coords)
+    cols = np.array(basis.row_vectors(), dtype=object)
+    if coords is not None:
+        cols = cols[:, coords]
     seen = {}
     labels = np.empty(cols.shape[1], dtype=np.int64)
     for j in range(cols.shape[1]):
@@ -350,18 +374,10 @@ def _labels_from_columns(stacked: np.ndarray) -> np.ndarray:
     return order[inverse].astype(np.int64)
 
 
-def algebra_dimension(coloring, domain=None, max_length=None) -> int:
-    """Rank of the fully closed product span of one coloring's matrices."""
-    gens = color_matrices(coloring)
-    if max_length is None:
-        max_length = gens.n * gens.n
-    basis = MatrixSpanBasis(gens.n, domain)
-    basis, _ = grow_products(basis, gens, max_length)
-    return basis.rank
-
-
 # ---------------------------------------------------------------------------
 # randomized sampled closure
+
+_SAMPLED_CHAINS = 3  # random product chains per prime
 
 
 @dataclass
@@ -369,8 +385,6 @@ class SpanProfile:
     """Result of profiling the product span by random sampling."""
 
     labels: np.ndarray          # canonical class labels over requested coords
-    num_classes: int
-    rank: int | None            # agreed rank across primes (None if not asked)
     stabilized_length: int      # last length that still changed something
     lengths_used: int
 
@@ -382,21 +396,26 @@ def sampled_span_profile(
     max_length: int,
     seed: int,
     primes=(PRIME_1, PRIME_2),
-    want_rank: bool = False,
-    base_samples: int = 3,
-    max_samples: int = 64,
-    stop_window: int = 8,
+    stop_window: int | None = None,
 ) -> SpanProfile:
-    """Profile the span of products of the color adjacency matrices.
+    """Hash the coordinate partition of the products of the color matrices.
 
     ``color_table`` is the (possibly block-diagonal joint) table with -1 for
     coordinates outside the universe; ``coords`` are the flat indices whose
     partition is wanted.  Each length multiplies every running chain by a
     fresh random linear combination of the generators, so chain entries are
-    random linear functionals of the exact-length walk counts.  Growth stops
-    once neither the per-coordinate signatures nor (if tracked) the rank
-    changed for ``stop_window`` consecutive lengths, which the dimension
-    argument makes safe: equal consecutive span dimensions freeze the span.
+    random linear functionals of the exact-length walk counts, and each
+    length's samples are hashed into per-coordinate signatures.
+
+    The partition is one-sided.  Coordinates with equal walk counts always
+    get equal signatures, so it can only merge classes, never split one.
+    A chain entry at length l is a polynomial of degree l in the random
+    coefficients, so by Schwartz-Zippel two coordinates whose length-l walk
+    counts differ mod p get equal samples at that length with probability
+    at most (l / p)^3 per prime, independently across primes, plus the
+    chance of a 64-bit hash collision.  ``stop_window`` ends the run after
+    that many consecutive lengths left the class count unchanged, a
+    heuristic with no such bound; None runs all ``max_length`` lengths.
     """
     table = np.asarray(color_table, dtype=np.int64)
     n_tot = table.shape[0]
@@ -409,17 +428,14 @@ def sampled_span_profile(
 
     flat_coords = np.asarray(coords, dtype=np.int64)
     hashes = [np.full(flat_coords.size, _HASH_OFFS, dtype=np.uint64) for _ in primes]
-    ranks = [MatrixSpanBasis(n_tot, PrimeField(p)) if want_rank else None
-             for p in primes]
     rngs = [np.random.default_rng((seed, p)) for p in primes]
 
-    def fresh_factors(i: int, count: int) -> np.ndarray:
-        """Stack of ``count`` random generator combinations, shape (s, n, n)."""
-        r = rngs[i].integers(1, primes[i], size=(count, num_colors))
+    def fresh_factors(i: int) -> np.ndarray:
+        """Stack of random generator combinations, shape (chains, n, n)."""
+        r = rngs[i].integers(1, primes[i], size=(_SAMPLED_CHAINS, num_colors))
         return r[:, local] * maskf
 
-    num_chains = base_samples
-    chains = [fresh_factors(i, num_chains) for i in range(len(primes))]
+    chains = [fresh_factors(i) for i in range(len(primes))]
 
     stable_for = 0
     stabilized_length = 1
@@ -427,51 +443,25 @@ def sampled_span_profile(
     prev_count = -1
     while length < max_length:
         length += 1
-        changed = False
-        saturated = want_rank
         for i, p in enumerate(primes):
             if length > 1:
-                chains[i] = _matmul_mod(chains[i], fresh_factors(i, num_chains), p)
-            samples = chains[i].reshape(num_chains, n_tot * n_tot)
+                chains[i] = _matmul_mod(chains[i], fresh_factors(i), p)
+            samples = chains[i].reshape(_SAMPLED_CHAINS, n_tot * n_tot)
             picked = samples[:, flat_coords].astype(np.uint64)
             for row in picked:
                 hashes[i] = hashes[i] * _HASH_MULT + row
-            if ranks[i] is not None:
-                added = int(ranks[i].insert_batch(samples).sum())
-                changed |= added > 0
-                saturated &= added == num_chains
         sig = np.stack(hashes, axis=1)
         count = np.unique(sig.view([("", np.uint64)] * sig.shape[1]).ravel()).size
         # signature partition can only refine over time; track class count
-        if count != prev_count:
-            changed = True
+        changed = count != prev_count
         prev_count = count
         if changed:
             stable_for = 0
             stabilized_length = length
-            # if every sample added rank this length, sampling is the
-            # bottleneck: widen the chain pool to catch up faster
-            if saturated and num_chains < max_samples:
-                extra = min(max_samples, num_chains * 2) - num_chains
-                for i, p in enumerate(primes):
-                    derived = _matmul_mod(
-                        chains[i][:extra], fresh_factors(i, extra), p
-                    )
-                    chains[i] = np.concatenate([chains[i], derived])
-                num_chains += extra
         else:
             stable_for += 1
-            if stable_for >= stop_window:
+            if stop_window is not None and stable_for >= stop_window:
                 break
-
-    rank = None
-    if want_rank:
-        got = [r.rank for r in ranks]
-        if len(set(got)) != 1:
-            raise AlgebraCrossCheckError(
-                f"prime-field ranks disagree: {dict(zip(primes, got))}"
-            )
-        rank = got[0]
 
     # combine input colors with the hash signatures so the result is a
     # structural refinement of the input partition, not merely whp
@@ -481,8 +471,6 @@ def sampled_span_profile(
     labels = _labels_from_columns(sig.T)
     return SpanProfile(
         labels=labels,
-        num_classes=int(labels.max()) + 1,
-        rank=rank,
         stabilized_length=stabilized_length,
         lengths_used=length,
     )
@@ -499,9 +487,7 @@ __all__ = [
     "AlgebraCrossCheckError",
     "color_matrices",
     "block_color_table",
-    "span_basis_from",
     "grow_products",
     "partition_from_span",
-    "algebra_dimension",
     "sampled_span_profile",
 ]

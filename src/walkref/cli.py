@@ -2,8 +2,11 @@
 
 Exit codes: 0 on success / all verdicts passing, 1 on a property failure
 (a verdict is false or a run cannot satisfy its precondition), 2 on usage
-errors (bad flags, unreadable inputs), 3 when the two prime-field algebra
-runs disagree (``AlgebraCrossCheckError``), so no result is trusted.
+errors (bad flags, unreadable or oversized inputs), 3 when the two
+prime-field algebra runs disagree (``AlgebraCrossCheckError``), so no
+result is trusted, and 4 when a computation is refused because it would
+exceed its work budget (``BudgetExceeded``: naive walk enumeration,
+formula evaluation, Duplicator verification).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .game import (
     wall_adjacent_scenario,
     wall_nonadjacent_scenario,
 )
-from .graph_core import load_graph_json
+from .graph_core import BudgetExceeded, load_graph_json
 from .refinement import (
     ARITH_MODES,
     RefinementKind,
@@ -313,6 +316,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BudgetExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

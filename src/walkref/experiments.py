@@ -144,7 +144,8 @@ def walk_dimension_chain(g: SimpleGraph, *, arith: str = "prime2",
     ``strictly_increasing`` asserts strict growth at every iteration that
     refined the partition.  Note the final refining iteration can leave the
     algebra unchanged (the refined partition may already be spanned by the
-    closed algebra), in which case the flag is honestly False.
+    closed algebra), in which case the flag is honestly False.  The chain
+    is exact at every size, so ``seed`` and ``method`` do not change it.
     """
     ws = Workspace.from_graphs(g)
     hist = stabilize(ws, RefinementKind.walk(), record_dims=True,

@@ -25,6 +25,7 @@ from .cfi import (
     edge_path,
     flip_masks_for_path,
 )
+from .graph_core import BudgetExceeded
 
 TUPLE_BUDGET = 10**7
 
@@ -290,7 +291,7 @@ def verify_round_safe(
     firsts, lasts = _anchor_pairs(bij)
     cost = n ** (k - 1)
     if cost > budget:
-        raise ValueError(f"{cost} tuples exceed the budget of {budget}")
+        raise BudgetExceeded(f"{cost} tuples exceed the budget of {budget}")
     a_plain = g_plain.graph.adjacency()
     a_tw = g_twisted.graph.adjacency()
     seen = set()

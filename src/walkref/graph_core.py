@@ -13,6 +13,13 @@ LOOP = 0
 EDGE = 1
 NONEDGE = 2
 
+# largest graph the loader accepts: its n x n int64 color table is 32 MiB
+MAX_GRAPH_VERTICES = 2048
+
+
+class BudgetExceeded(ValueError):
+    """A computation refused up front because it would exceed its budget."""
+
 
 @dataclass(frozen=True)
 class SimpleGraph:
@@ -71,8 +78,9 @@ class SimpleGraph:
 def load_graph_json(text_or_dict) -> SimpleGraph:
     """Parse the {"n": int, "edges": [[u,v], ...]} wire format.
 
-    The vertex count and ids must be ints (bools are rejected); any
-    malformed input raises ValueError.
+    The vertex count and ids must be ints (bools are rejected), and the
+    count at most ``MAX_GRAPH_VERTICES``; any malformed or oversized input
+    raises ValueError.
     """
     obj = text_or_dict
     if isinstance(obj, (str, bytes)):
@@ -82,6 +90,9 @@ def load_graph_json(text_or_dict) -> SimpleGraph:
     n, edges = obj["n"], obj["edges"]
     if not _is_int(n) or n < 1:
         raise ValueError(f"invalid vertex count {n!r}")
+    if n > MAX_GRAPH_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds the limit of "
+                         f"{MAX_GRAPH_VERTICES}")
     if not isinstance(edges, list) or not all(
         isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))
         for e in edges
@@ -249,6 +260,8 @@ def _refines(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 __all__ = [
+    "MAX_GRAPH_VERTICES",
+    "BudgetExceeded",
     "SimpleGraph",
     "ColoredCompleteGraph",
     "PairPartition",

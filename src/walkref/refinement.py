@@ -30,10 +30,10 @@ from .algebra import (
     partition_from_span,
     sampled_span_profile,
 )
-from .graph_core import ColoredCompleteGraph, PairPartition, initial_coloring
+from .graph_core import BudgetExceeded, PairPartition, initial_coloring
 
 NAIVE_WALK_BUDGET = 10**7
-EXACT_METHOD_MAX_VERTICES = 40  # auto switches to sampling above this
+EXACT_METHOD_MAX_VERTICES = 40  # steps without dims sample above this
 ARITH_MODES = ("prime", "prime2", "rational")
 
 
@@ -187,8 +187,7 @@ def k_walk_step(ws: Workspace, k: int, method: str = "auto", seed: int = 0,
     sequences of all k-step walks between its endpoints."""
     if k < 2:
         raise ValueError("k-walk refinement requires k >= 2")
-    labels, _ = _span_labels(ws, max_length=k, method=method, seed=seed,
-                             arith=arith)
+    labels, _ = _span_labels(ws, k, method=method, seed=seed, arith=arith)
     _install_labels(ws, labels)
 
 
@@ -196,16 +195,8 @@ def walk_step(ws: Workspace, method: str = "auto", seed: int = 0,
               want_dim: bool = False, arith: str = "prime2"):
     """One walk-refinement step: the finest k-walk step (k = n^2 always
     suffices).  Returns the induced-algebra dimension if requested."""
-    n_tot = ws.total_vertices
-    labels, dim = _span_labels(
-        ws,
-        max_length=n_tot * n_tot,
-        method=method,
-        seed=seed,
-        want_dim=want_dim,
-        early_stop=True,
-        arith=arith,
-    )
+    labels, dim = _span_labels(ws, None, method=method, seed=seed,
+                               want_dim=want_dim, arith=arith)
     _install_labels(ws, labels)
     return dim
 
@@ -220,7 +211,9 @@ def naive_k_walk_step(ws: Workspace, k: int, budget: int = NAIVE_WALK_BUDGET):
         raise ValueError("k-walk refinement requires k >= 2")
     cost = sum(c.n ** (k + 1) for c in ws.colorings) * k
     if cost > budget:
-        raise ValueError(f"naive enumeration needs {cost} steps > budget {budget}")
+        raise BudgetExceeded(
+            f"naive enumeration needs {cost} steps > budget {budget}"
+        )
     prev_tables = [c.color.copy() for c in ws.colorings]
     per_pair = []  # aligned with universe order: dict seq -> count
     for c in ws.colorings:
@@ -251,51 +244,65 @@ def naive_k_walk_step(ws: Workspace, k: int, budget: int = NAIVE_WALK_BUDGET):
     )
 
 
-def _span_labels(ws, *, max_length, method, seed, want_dim=False,
-                 early_stop=False, arith="prime2"):
+def _span_labels(ws, k, *, method, seed, want_dim=False, arith="prime2"):
+    """Coordinate partition of the span of the color-matrix products of
+    length <= k (``k=None``: the whole algebra), and its rank if asked.
+
+    Engines by step and total vertex count (``grow_products`` closures):
+
+    =====================  =====================  =========================
+    step                   <= 40 vertices         > 40 vertices
+    =====================  =====================  =========================
+    any, ``want_dim``      whole-algebra closure  whole-algebra closure
+    walk                   whole-algebra closure  sampler, 24-length window
+    k-walk                 closure to length k    sampler, k lengths
+    =====================  =====================  =========================
+
+    ``method="exact"`` or ``"sampled"`` picks the column for steps without
+    ``want_dim``.  Rational arithmetic is always exact, past 40 vertices
+    only with ``method="exact"``; ``prime2`` checks a rank on a second
+    prime.
+    """
     if arith not in ARITH_MODES:
         raise ValueError(f"unknown arithmetic mode {arith!r}")
-    if arith == "rational":
-        if method == "sampled" or (
-            method == "auto" and ws.total_vertices > EXACT_METHOD_MAX_VERTICES
-        ):
-            raise ValueError(
-                "rational arithmetic requires the exact method "
-                f"(<= {EXACT_METHOD_MAX_VERTICES} total vertices)"
-            )
-        method = "exact"
-    if method == "auto":
-        method = "exact" if ws.total_vertices <= EXACT_METHOD_MAX_VERTICES else "sampled"
+    if method not in ("auto", "exact", "sampled"):
+        raise ValueError(f"unknown method {method!r}")
+    small = ws.total_vertices <= EXACT_METHOD_MAX_VERTICES
+    if arith == "rational" and (
+        method == "sampled" or (method == "auto" and not small)
+    ):
+        raise ValueError(
+            "rational arithmetic requires the exact method "
+            f"(<= {EXACT_METHOD_MAX_VERTICES} total vertices)"
+        )
     coords = ws.universe_coords()
-    if method == "exact":
+    # rational arithmetic got past the check above only on exact terms
+    if want_dim or method == "exact" or (method == "auto" and small):
         domain = RationalDomain() if arith == "rational" else PrimeField(PRIME_1)
         gens = color_matrices(ws.colorings)
-        basis = MatrixSpanBasis(gens.n, domain)
-        basis, _ = grow_products(basis, gens, max_length)
+        basis, _ = grow_products(MatrixSpanBasis(gens.n, domain), gens, k)
         if want_dim and arith == "prime2":
-            check = MatrixSpanBasis(gens.n, PrimeField(PRIME_2))
-            check, _ = grow_products(check, gens, max_length)
+            check, _ = grow_products(
+                MatrixSpanBasis(gens.n, PrimeField(PRIME_2)), gens, k
+            )
             if check.rank != basis.rank:
                 raise AlgebraCrossCheckError(
                     f"exact ranks disagree across primes: "
                     f"{basis.rank} vs {check.rank}"
                 )
         return partition_from_span(basis, coords), basis.rank
-    if method != "sampled":
-        raise ValueError(f"unknown method {method!r}")
+    n_tot = ws.total_vertices
     prof = sampled_span_profile(
         block_color_table(ws.colorings),
         coords=coords,
-        max_length=max_length,
+        max_length=n_tot * n_tot if k is None else k,
         seed=seed,
         primes=(PRIME_1,) if arith == "prime" else (PRIME_1, PRIME_2),
-        want_rank=want_dim,
-        # without the rank's dimension-freeze certificate, stop only after
-        # a generous window of unchanged coordinate signatures
-        stop_window=(8 if want_dim else 24) if early_stop else max_length + 1,
-        base_samples=16 if want_dim else 3,
+        # without a rank to certify the closure, stop the walk step only
+        # after a generous window of unchanged coordinate signatures
+        stop_window=24 if k is None else None,
     )
-    return prof.labels, prof.rank
+    return prof.labels, None
 
 
 def _joint_row_labels(rows_per_graph):
@@ -355,29 +362,23 @@ def stabilize(
     for it in range(1, max_iterations + 1):
         # dims[i-1] is the induced-algebra dimension of the coloring
         # *entering* iteration i
-        if kind.name == "wl":
+        it_seed = _iter_seed(seed, it)
+        if kind.name == "walk":
+            dim = walk_step(ws, method=method, seed=it_seed,
+                            want_dim=record_dims, arith=arith)
+        else:
             if record_dims:
-                dims.append(
-                    _algebra_dim(ws, method, _iter_seed(seed, it) + 1, arith)
-                )
-            wl_step(ws)
-        elif kind.name == "kwalk":
-            if record_dims:
-                dims.append(
-                    _algebra_dim(ws, method, _iter_seed(seed, it) + 1, arith)
-                )
-            if record_walk_multisets:
+                _, dim = _span_labels(ws, None, method=method, seed=it_seed,
+                                      want_dim=True, arith=arith)
+            if kind.name == "wl":
+                wl_step(ws)
+            elif record_walk_multisets:
                 walk_records.append(naive_k_walk_step(ws, kind.k))
             else:
-                k_walk_step(ws, kind.k, method=method,
-                            seed=_iter_seed(seed, it), arith=arith)
-        else:
-            dim = walk_step(
-                ws, method=method, seed=_iter_seed(seed, it),
-                want_dim=record_dims, arith=arith,
-            )
-            if record_dims:
-                dims.append(dim)
+                k_walk_step(ws, kind.k, method=method, seed=it_seed,
+                            arith=arith)
+        if record_dims:
+            dims.append(dim)
         part = ws.partition()
         partitions.append(part)
         if part == partitions[-2]:
@@ -389,19 +390,6 @@ def stabilize(
         walk_records=walk_records,
         distinguished_at=_distinguished_at(partitions, ws.sizes),
     )
-
-
-def _algebra_dim(ws, method, seed, arith="prime2"):
-    _, dim = _span_labels(
-        ws,
-        max_length=ws.total_vertices ** 2,
-        method=method,
-        seed=seed,
-        want_dim=True,
-        early_stop=True,
-        arith=arith,
-    )
-    return dim
 
 
 def _iter_seed(seed: int, iteration: int) -> int:

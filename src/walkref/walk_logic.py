@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import EDGE, LOOP, NONEDGE, SimpleGraph
+from .graph_core import EDGE, LOOP, NONEDGE, BudgetExceeded, SimpleGraph
 from .refinement import RefinementHistory, Workspace, naive_k_walk_step
 
 DEFAULT_TUPLES_PER_QUANTIFIER = 10**7
@@ -50,15 +50,7 @@ class WalkFormula:
         self._depth = (1 if op == "walk" else 0) + max(
             (p._depth for p in parts), default=0
         )
-        seen = set()
-
-        def visit(node):
-            if id(node) in seen:
-                return 0
-            seen.add(id(node))
-            return 1 + sum(visit(p) for p in node.parts)
-
-        self._size = visit(self)
+        self._size = None
 
     @property
     def quantifier_depth(self) -> int:
@@ -66,6 +58,15 @@ class WalkFormula:
 
     @property
     def dag_size(self) -> int:
+        """Distinct nodes reachable from this one, counted on first read."""
+        if self._size is None:
+            seen, stack = {id(self)}, [self]
+            while stack:
+                for p in stack.pop().parts:
+                    if id(p) not in seen:
+                        seen.add(id(p))
+                        stack.append(p)
+            self._size = len(seen)
         return self._size
 
     @property
@@ -75,7 +76,7 @@ class WalkFormula:
         return len(self.parts)
 
     def __repr__(self):
-        return f"<WalkFormula {self.op} depth={self._depth} size={self._size}>"
+        return f"<WalkFormula {self.op} depth={self._depth} size={self.dag_size}>"
 
 
 # Weak values free formulas nobody holds; a live node keeps its parts
@@ -155,7 +156,7 @@ class _EvalState:
                 return cached
         self.node_evals += 1
         if self.node_evals > self.budget.max_node_evals:
-            raise ValueError(
+            raise BudgetExceeded(
                 f"evaluation budget exceeded: more than "
                 f"{self.budget.max_node_evals} node evaluations"
             )
@@ -173,7 +174,7 @@ class _EvalState:
             k = len(f.parts)
             tuples = self.n ** (k - 1)
             if tuples > self.budget.max_tuples_per_quantifier:
-                raise ValueError(
+                raise BudgetExceeded(
                     f"evaluation budget exceeded: quantifier ranges over "
                     f"{tuples} interior tuples > "
                     f"{self.budget.max_tuples_per_quantifier}"

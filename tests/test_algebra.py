@@ -10,13 +10,11 @@ from walkref.algebra import (
     MatrixSpanBasis,
     PrimeField,
     RationalDomain,
-    algebra_dimension,
     block_color_table,
     color_matrices,
     grow_products,
     partition_from_span,
     sampled_span_profile,
-    span_basis_from,
 )
 from walkref.algebra import _BATCH_ROWS, _CHUNK, _mod_p
 from walkref.graph_core import ColoredCompleteGraph, SimpleGraph, initial_coloring
@@ -36,19 +34,27 @@ def discrete(n, first_color=0):
     return ColoredCompleteGraph(n, table)
 
 
+def closure_rank(coloring, domain=None, max_length=None):
+    """Rank of the product span of one coloring's matrices; the whole
+    algebra unless max_length bounds the product length."""
+    gens = color_matrices(coloring)
+    basis, _ = grow_products(MatrixSpanBasis(gens.n, domain), gens, max_length)
+    return basis.rank
+
+
 class TestSpanBasis:
     def test_rank_of_identity_family(self):
         b = MatrixSpanBasis(3)
-        assert b.insert_matrix(np.eye(3))
-        assert not b.insert_matrix(2 * np.eye(3))
+        assert b.insert(np.eye(3).ravel())
+        assert not b.insert(2 * np.eye(3).ravel())
         assert b.rank == 1
 
     def test_insert_detects_dependence(self):
         b = MatrixSpanBasis(2)
         m1 = np.array([[1, 0], [0, 0]])
         m2 = np.array([[0, 1], [0, 0]])
-        assert b.insert_matrix(m1) and b.insert_matrix(m2)
-        assert not b.insert_matrix(3 * m1 + 5 * m2)
+        assert b.insert(m1.ravel()) and b.insert(m2.ravel())
+        assert not b.insert((3 * m1 + 5 * m2).ravel())
         assert b.rank == 2
 
     def test_rational_matches_prime(self):
@@ -57,7 +63,7 @@ class TestSpanBasis:
         bp = MatrixSpanBasis(3, PrimeField())
         bq = MatrixSpanBasis(3, RationalDomain())
         for m in mats:
-            assert bp.insert_matrix(m) == bq.insert_matrix(m)
+            assert bp.insert(m.ravel()) == bq.insert(m.ravel())
         assert bp.rank == bq.rank
 
 
@@ -153,31 +159,31 @@ class TestGrowProducts:
     def test_identity_generator_stabilizes_at_two(self):
         from walkref.algebra import ColorMatrices
 
-        gens = ColorMatrices(3, ["id"], [np.eye(3, dtype=np.int64)])
+        gens = ColorMatrices(3, [np.eye(3, dtype=np.int64)])
         basis, stab = grow_products(MatrixSpanBasis(3), gens, max_length=9)
         assert basis.rank == 1 and stab == 2
 
     def test_rejects_non_empty_basis(self):
         gens = color_matrices(discrete(2))
         basis = MatrixSpanBasis(2)
-        basis.insert_matrix(np.ones((2, 2), dtype=np.int64))
+        basis.insert(np.ones(4, dtype=np.int64))
         with pytest.raises(ValueError, match="empty basis"):
             grow_products(basis, gens, 5)
 
     def test_k3_closure_dimension_two(self):
         # span{I, J-I} is closed: (J-I)^2 = 2I + (J-I) on three vertices
-        assert algebra_dimension(initial_coloring(complete(3))) == 2
+        assert closure_rank(initial_coloring(complete(3))) == 2
 
     def test_c5_closure_rank_three(self):
-        assert algebra_dimension(initial_coloring(cycle(5))) == 3
+        assert closure_rank(initial_coloring(cycle(5))) == 3
 
     def test_discrete_coloring_full_rank(self):
-        assert algebra_dimension(discrete(3)) == 9
+        assert closure_rank(discrete(3)) == 9
 
     def test_rational_agrees_with_prime_field(self):
         c = initial_coloring(cycle(6))
-        dp = algebra_dimension(c)
-        dq = algebra_dimension(c, domain=RationalDomain(), max_length=12)
+        dp = closure_rank(c)
+        dq = closure_rank(c, domain=RationalDomain(), max_length=12)
         assert dp == dq
 
 
@@ -187,7 +193,7 @@ def reference_closure(gens, domain):
     prime = isinstance(domain, PrimeField)
     mats = [np.asarray(m, dtype=np.int64 if prime else object) for m in gens]
     basis = MatrixSpanBasis(gens.n, domain)
-    frontier = [m for m in mats if basis.insert_matrix(m)]
+    frontier = [m for m in mats if basis.insert(m.ravel())]
     length = 1
     while frontier:
         length += 1
@@ -195,7 +201,7 @@ def reference_closure(gens, domain):
         for m in frontier:
             for g in mats:
                 prod = m @ g % domain.p if prime else m @ g
-                if basis.insert_matrix(prod):
+                if basis.insert(prod.ravel()):
                     new.append(prod)
         frontier = new
     return basis, length
@@ -263,6 +269,53 @@ class TestFullRankStop:
         assert self.closure_rows(monkeypatch, pair) == (25, 2, 25)
 
 
+class TestFullAlgebra:
+    @settings(deadline=None, max_examples=80)
+    @given(colorings(), st.sampled_from([PRIME_1, PRIME_2]))
+    def test_matches_bounded_closure(self, cs, p):
+        gens = color_matrices(cs)
+        full, stab = grow_products(MatrixSpanBasis(gens.n, PrimeField(p)),
+                                   gens, None)
+        bounded, _ = grow_products(MatrixSpanBasis(gens.n, PrimeField(p)),
+                                   gens, gens.n ** 2 + 1)
+        ref, _ = reference_closure(gens, PrimeField(p))
+        assert stab is None
+        assert full.rank == bounded.rank == ref.rank
+        assert np.array_equal(partition_from_span(full),
+                              partition_from_span(bounded))
+
+    @pytest.mark.parametrize("cs", [
+        [initial_coloring(cycle(6))],
+        [initial_coloring(cycle(3)), initial_coloring(complete(4))],
+    ])
+    def test_degenerate_pair_falls_back(self, cs):
+        # r1 = r2 = the all-ones matrix of each block spans a closed
+        # algebra of rank one per block, which misses the generators
+        gens = color_matrices(cs)
+
+        def ones(gen_stack, p):
+            return np.stack([gen_stack.sum(axis=0)] * 2)
+
+        with mock.patch("walkref.algebra._random_pair", ones):
+            got, _ = grow_products(MatrixSpanBasis(gens.n), gens, None)
+        want, _ = grow_products(MatrixSpanBasis(gens.n), gens, gens.n ** 2)
+        assert got.rank == want.rank > len(cs)
+        assert np.array_equal(got.row_vectors(), want.row_vectors())
+
+    def test_discrete_inserts_only_generators(self, monkeypatch):
+        rows = []
+        insert_batch = MatrixSpanBasis.insert_batch
+
+        def counted(self, batch):
+            rows.append(len(batch))
+            return insert_batch(self, batch)
+
+        monkeypatch.setattr(MatrixSpanBasis, "insert_batch", counted)
+        gens = color_matrices([discrete(3), discrete(2, first_color=9)])
+        basis, stab = grow_products(MatrixSpanBasis(gens.n), gens, None)
+        assert (basis.rank, stab, rows) == (13, None, [13])
+
+
 class TestPartitionFromSpan:
     def test_c5_span_partition(self):
         c = initial_coloring(cycle(5))
@@ -280,17 +333,6 @@ class TestPartitionFromSpan:
 
 
 class TestSampledProfile:
-    @pytest.mark.parametrize("graph", [cycle(5), cycle(6), complete(4)])
-    def test_rank_matches_exact(self, graph):
-        c = initial_coloring(graph)
-        exact = algebra_dimension(c)
-        table = block_color_table([c])
-        coords = np.arange(c.n * c.n)
-        prof = sampled_span_profile(
-            table, coords=coords, max_length=200, seed=11, want_rank=True
-        )
-        assert prof.rank == exact
-
     def test_partition_matches_exact(self):
         c = initial_coloring(cycle(6))
         gens = color_matrices(c)
@@ -309,11 +351,11 @@ class TestSampledProfile:
 
     def test_deterministic_given_seed(self):
         c = initial_coloring(cycle(5))
-        kw = dict(coords=np.arange(25), max_length=100, want_rank=True)
+        kw = dict(coords=np.arange(25), max_length=100, stop_window=8)
         p1 = sampled_span_profile(block_color_table([c]), seed=3, **kw)
         p2 = sampled_span_profile(block_color_table([c]), seed=3, **kw)
         assert np.array_equal(p1.labels, p2.labels)
-        assert p1.rank == p2.rank and p1.lengths_used == p2.lengths_used
+        assert p1.lengths_used == p2.lengths_used < 100
 
     def test_refines_input_colors(self):
         c = initial_coloring(cycle(7))
@@ -332,5 +374,5 @@ def test_dimension_at_least_color_count(n, seed):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
     c = initial_coloring(SimpleGraph.from_edges(n, edges))
     colors = np.unique(c.color).size
-    dim = algebra_dimension(c)
+    dim = closure_rank(c)
     assert colors <= dim <= n * n

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from walkref.cli import main
-from walkref.graph_core import load_graph_json
+from walkref.graph_core import MAX_GRAPH_VERTICES, load_graph_json
 
 
 def run(capsys, *argv):
@@ -74,6 +74,16 @@ class TestRefineDistinguish:
         assert d["dims"] == [105, 165, 165]
 
 
+    def test_dims_exact_above_40_vertices(self, capsys, tmp_path):
+        # 43 vertices: dimension chains no longer depend on the seed
+        path = tmp_path / "g6.json"
+        assert main(["gen", "--grid", "6", "--out", str(path)]) == 0
+        outs = [run(capsys, "dims", "--graph", str(path), "--arith", "prime",
+                    "--seed", seed) for seed in ("0", "7")]
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0][1])["dims"] == [201, 285, 301, 301]
+
+
 class TestReportsAndVerdicts:
     def test_remark_pass_and_fail_exit_codes(self, capsys):
         code, out = run(capsys, "remark", "--n-min", "3", "--n-max", "3",
@@ -134,6 +144,24 @@ class TestUsageErrors:
         # an uncaught exception would propagate out of main() here
         assert main(["refine", "--graph", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: cannot read graph")
+
+    def test_oversized_graph(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"n": MAX_GRAPH_VERTICES + 1, "edges": []}))
+        assert main(["refine", "--graph", str(path)]) == 2
+        assert "exceeds the limit" in capsys.readouterr().err
+
+    def test_budget_refusal(self, capsys, tmp_path):
+        # naive 3-walk enumeration on two 60-vertex graphs needs
+        # 2 * 60^4 * 3 steps, over NAIVE_WALK_BUDGET, so it is refused
+        # before any work
+        path = tmp_path / "g.json"
+        path.write_text('{"n": 60, "edges": []}')
+        code = main(["formula", "--graphs", str(path), str(path)])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("error: naive enumeration needs")
+        assert "Traceback" not in err
 
     def test_csv_unsupported_command(self, cfi_pair):
         plain, _ = cfi_pair

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from walkref.cfi import build_cfi, grid_base
 from walkref.graph_core import (
     PartitionOrder,
     SimpleGraph,
@@ -170,6 +171,18 @@ class TestStabilize:
         dims = hist.dims
         assert all(a <= b for a, b in zip(dims, dims[1:]))
         assert dims[0] >= 3  # at least the three starting colors
+
+    @pytest.mark.parametrize("g", [
+        build_cfi(grid_base(3)).graph, build_cfi(grid_base(4)).graph,
+        build_cfi(grid_base(5)).graph, cycle(8), two_triangles(),
+        random_graph(9, 3), random_graph(11, 4, p=0.3),
+    ])
+    def test_final_dim_is_stable_class_count(self, g):
+        # the stable coloring is a coherent configuration, whose algebra
+        # has one basis matrix per class
+        hist = stabilize(Workspace.from_graphs(g), RefinementKind.walk(),
+                         record_dims=True)
+        assert hist.dims[-1] == hist.stable_partition.num_classes
 
     def test_walk_records_capture_counts(self):
         ws = Workspace.from_graphs(cycle(5))
