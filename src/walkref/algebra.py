@@ -31,6 +31,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .graph_core import _canonicalize
+
 PRIME_1 = 4194301
 PRIME_2 = 4194287
 _CHUNK = 512  # inner dimension per exact float64 accumulation
@@ -365,13 +367,7 @@ def partition_from_span(basis: MatrixSpanBasis, coords=None) -> np.ndarray:
 def _labels_from_columns(stacked: np.ndarray) -> np.ndarray:
     """Canonical first-occurrence labels for the columns of a 2-D array."""
     cols = np.ascontiguousarray(stacked.T)
-    _, first_idx, inverse = np.unique(
-        cols.view([("", cols.dtype)] * cols.shape[1]).ravel(),
-        return_index=True,
-        return_inverse=True,
-    )
-    order = np.argsort(np.argsort(first_idx))
-    return order[inverse].astype(np.int64)
+    return _canonicalize(cols.view([("", cols.dtype)] * cols.shape[1]).ravel())
 
 
 # ---------------------------------------------------------------------------

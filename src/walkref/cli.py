@@ -37,6 +37,7 @@ from .refinement import (
     ARITH_MODES,
     RefinementKind,
     Workspace,
+    iterations_to_distinguish,
     stabilize,
 )
 from .walk_logic import (
@@ -127,14 +128,10 @@ def _cmd_refine(args) -> int:
 def _cmd_distinguish(args) -> int:
     g1, g2 = (_load_graph(p) for p in args.graphs)
     kind = _kind_from_args(args)
-    if g1.n != g2.n:
-        result = 0
-    else:
-        hist = stabilize(
-            Workspace.from_graphs([g1, g2]), kind,
-            max_iterations=args.max_iters, seed=args.seed, arith=args.arith,
-        )
-        result = hist.distinguished_at
+    result = iterations_to_distinguish(
+        g1, g2, kind, max_iterations=args.max_iters, seed=args.seed,
+        arith=args.arith,
+    )
     _emit(args, _json({
         "kind": kind.name,
         "k": kind.k,

@@ -72,10 +72,6 @@ class ComponentStructure:
     def twisted_component(self) -> Component:
         return next(c for c in self.components if c.twisted)
 
-    def component_of_edge(self, e) -> Component:
-        e = _norm_edge(e)
-        return next(c for c in self.components if e in c.edges)
-
 
 def twisted_components(base: BaseGraph, pebbled, twist) -> ComponentStructure:
     """Components of the base graph w.r.t. pebbled vertices.

@@ -228,7 +228,8 @@ class PairPartition:
 
 
 def _canonicalize(flat: np.ndarray) -> np.ndarray:
-    """Renumber labels by first occurrence."""
+    """Renumber labels by first occurrence (any 1-D array that
+    ``np.unique`` sorts, structured rows included)."""
     _, first_idx, inverse = np.unique(flat, return_index=True, return_inverse=True)
     order = np.argsort(np.argsort(first_idx))
     return order[inverse].astype(np.int64)

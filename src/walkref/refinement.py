@@ -33,7 +33,7 @@ from .algebra import (
 from .graph_core import BudgetExceeded, PairPartition, initial_coloring
 
 NAIVE_WALK_BUDGET = 10**7
-EXACT_METHOD_MAX_VERTICES = 40  # steps without dims sample above this
+EXACT_METHOD_MAX_VERTICES = 40  # above this: sampled steps, no rationals
 ARITH_MODES = ("prime", "prime2", "rational")
 
 
@@ -181,22 +181,23 @@ def wl_step(ws: Workspace) -> None:
     _install_labels(ws, labels)
 
 
-def k_walk_step(ws: Workspace, k: int, method: str = "auto", seed: int = 0,
+def k_walk_step(ws: Workspace, k: int, seed: int = 0,
                 arith: str = "prime2") -> None:
     """One k-walk step: recolor each pair by the multiset of color
     sequences of all k-step walks between its endpoints."""
     if k < 2:
         raise ValueError("k-walk refinement requires k >= 2")
-    labels, _ = _span_labels(ws, k, method=method, seed=seed, arith=arith)
+    labels, _ = _span_labels(ws, k, seed=seed, arith=arith)
     _install_labels(ws, labels)
 
 
-def walk_step(ws: Workspace, method: str = "auto", seed: int = 0,
-              want_dim: bool = False, arith: str = "prime2"):
+def walk_step(ws: Workspace, seed: int = 0, want_dim: bool = False,
+              arith: str = "prime2"):
     """One walk-refinement step: the finest k-walk step (k = n^2 always
-    suffices).  Returns the induced-algebra dimension if requested."""
-    labels, dim = _span_labels(ws, None, method=method, seed=seed,
-                               want_dim=want_dim, arith=arith)
+    suffices).  Returns the induced-algebra dimension if requested; the
+    engine follows from ``want_dim`` and the size (see ``_span_labels``)."""
+    labels, dim = _span_labels(ws, None, seed=seed, want_dim=want_dim,
+                               arith=arith)
     _install_labels(ws, labels)
     return dim
 
@@ -244,7 +245,7 @@ def naive_k_walk_step(ws: Workspace, k: int, budget: int = NAIVE_WALK_BUDGET):
     )
 
 
-def _span_labels(ws, k, *, method, seed, want_dim=False, arith="prime2"):
+def _span_labels(ws, k, *, seed, want_dim=False, arith="prime2"):
     """Coordinate partition of the span of the color-matrix products of
     length <= k (``k=None``: the whole algebra), and its rank if asked.
 
@@ -258,26 +259,20 @@ def _span_labels(ws, k, *, method, seed, want_dim=False, arith="prime2"):
     k-walk                 closure to length k    sampler, k lengths
     =====================  =====================  =========================
 
-    ``method="exact"`` or ``"sampled"`` picks the column for steps without
-    ``want_dim``.  Rational arithmetic is always exact, past 40 vertices
-    only with ``method="exact"``; ``prime2`` checks a rank on a second
-    prime.
+    Rational arithmetic runs at no more than 40 total vertices; ``prime2``
+    checks a rank on a second prime.
     """
     if arith not in ARITH_MODES:
         raise ValueError(f"unknown arithmetic mode {arith!r}")
-    if method not in ("auto", "exact", "sampled"):
-        raise ValueError(f"unknown method {method!r}")
-    small = ws.total_vertices <= EXACT_METHOD_MAX_VERTICES
-    if arith == "rational" and (
-        method == "sampled" or (method == "auto" and not small)
-    ):
+    n_tot = ws.total_vertices
+    small = n_tot <= EXACT_METHOD_MAX_VERTICES
+    if arith == "rational" and not small:
         raise ValueError(
-            "rational arithmetic requires the exact method "
-            f"(<= {EXACT_METHOD_MAX_VERTICES} total vertices)"
+            "rational arithmetic is limited to "
+            f"{EXACT_METHOD_MAX_VERTICES} total vertices"
         )
     coords = ws.universe_coords()
-    # rational arithmetic got past the check above only on exact terms
-    if want_dim or method == "exact" or (method == "auto" and small):
+    if want_dim or small:
         domain = RationalDomain() if arith == "rational" else PrimeField(PRIME_1)
         gens = color_matrices(ws.colorings)
         basis, _ = grow_products(MatrixSpanBasis(gens.n, domain), gens, k)
@@ -291,7 +286,6 @@ def _span_labels(ws, k, *, method, seed, want_dim=False, arith="prime2"):
                     f"{basis.rank} vs {check.rank}"
                 )
         return partition_from_span(basis, coords), basis.rank
-    n_tot = ws.total_vertices
     prof = sampled_span_profile(
         block_color_table(ws.colorings),
         coords=coords,
@@ -345,13 +339,16 @@ def stabilize(
     kind: RefinementKind,
     *,
     max_iterations: int | None = None,
-    method: str = "auto",
     seed: int = 0,
     arith: str = "prime2",
     record_dims: bool = False,
     record_walk_multisets: bool = False,
 ) -> RefinementHistory:
-    """Iterate one refinement kind until the partition stops changing."""
+    """Iterate one refinement kind until the partition stops changing.
+
+    ``seed`` drives the sampler, which runs only for steps without dims
+    above 40 vertices; dims come from the exact closure at every size.
+    """
     if record_walk_multisets and kind.name != "kwalk":
         raise ValueError("walk multiset recording needs an explicit k")
     if max_iterations is None:
@@ -364,19 +361,18 @@ def stabilize(
         # *entering* iteration i
         it_seed = _iter_seed(seed, it)
         if kind.name == "walk":
-            dim = walk_step(ws, method=method, seed=it_seed,
-                            want_dim=record_dims, arith=arith)
+            dim = walk_step(ws, seed=it_seed, want_dim=record_dims,
+                            arith=arith)
         else:
             if record_dims:
-                _, dim = _span_labels(ws, None, method=method, seed=it_seed,
-                                      want_dim=True, arith=arith)
+                _, dim = _span_labels(ws, None, seed=it_seed, want_dim=True,
+                                      arith=arith)
             if kind.name == "wl":
                 wl_step(ws)
             elif record_walk_multisets:
                 walk_records.append(naive_k_walk_step(ws, kind.k))
             else:
-                k_walk_step(ws, kind.k, method=method, seed=it_seed,
-                            arith=arith)
+                k_walk_step(ws, kind.k, seed=it_seed, arith=arith)
         if record_dims:
             dims.append(dim)
         part = ws.partition()
@@ -411,7 +407,6 @@ def iterations_to_distinguish(
     kind: RefinementKind,
     *,
     max_iterations: int | None = None,
-    method: str = "auto",
     seed: int = 0,
     arith: str = "prime2",
 ) -> int | None:
@@ -420,10 +415,8 @@ def iterations_to_distinguish(
     if g1.n != g2.n:
         return 0
     ws = Workspace.from_graphs([g1, g2])
-    hist = stabilize(
-        ws, kind, max_iterations=max_iterations, method=method, seed=seed,
-        arith=arith,
-    )
+    hist = stabilize(ws, kind, max_iterations=max_iterations, seed=seed,
+                     arith=arith)
     return hist.distinguished_at
 
 

@@ -69,12 +69,6 @@ class WalkFormula:
             self._size = len(seen)
         return self._size
 
-    @property
-    def walk_length(self) -> int:
-        if self.op != "walk":
-            raise ValueError("walk_length is defined for walk quantifiers only")
-        return len(self.parts)
-
     def __repr__(self):
         return f"<WalkFormula {self.op} depth={self._depth} size={self.dag_size}>"
 

@@ -59,6 +59,18 @@ class TestRefineDistinguish:
         d = json.loads(out)
         assert d["distinguished"] and d["distinguishing_iterations"] == 2
 
+    def test_distinguish_size_mismatch(self, capsys, tmp_path):
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        a.write_text('{"n": 3, "edges": [[0, 1]]}')
+        b.write_text('{"n": 4, "edges": [[0, 1]]}')
+        code, out = run(capsys, "distinguish", "--graphs", str(a), str(b),
+                        "--kind", "walk")
+        assert code == 0
+        assert json.loads(out) == {"kind": "walk", "k": None,
+                                   "distinguishing_iterations": 0,
+                                   "distinguished": True}
+
     def test_kwalk_requires_k(self, capsys, cfi_pair):
         plain, _ = cfi_pair
         code, _ = run(capsys, "refine", "--graph", str(plain),
@@ -189,6 +201,21 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: exact ranks disagree across primes")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [
+        ["refine", "--kind", "walk"], ["dims"],
+    ], ids=["refine", "dims"])
+    def test_rational_refused_above_40_vertices(self, capsys, tmp_path,
+                                                command):
+        path = tmp_path / "g6.json"  # CFI-6: 43 vertices
+        assert main(["gen", "--grid", "6", "--out", str(path)]) == 0
+        capsys.readouterr()
+        # an uncaught exception would propagate out of main() here
+        code = main([*command, "--graph", str(path), "--arith", "rational"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: rational arithmetic is limited to 40")
+        assert err.count("\n") == 1
 
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as exc:

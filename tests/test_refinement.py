@@ -9,6 +9,7 @@ from walkref.graph_core import (
     check_invariants,
     compare_partitions,
 )
+from walkref import refinement
 from walkref.refinement import (
     RefinementKind,
     Workspace,
@@ -60,7 +61,7 @@ class TestStepAgreement:
         g = random_graph(6, seed)
         a, b = Workspace.from_graphs(g), Workspace.from_graphs(g)
         wl_step(a)
-        k_walk_step(b, 2, method="exact")
+        k_walk_step(b, 2)
         assert a.partition() == b.partition()
 
     @pytest.mark.parametrize("k", [2, 3, 4])
@@ -69,15 +70,29 @@ class TestStepAgreement:
         g = random_graph(5, seed)
         a, b = Workspace.from_graphs(g), Workspace.from_graphs(g)
         naive_k_walk_step(a, k)
-        k_walk_step(b, k, method="exact")
+        k_walk_step(b, k)
         assert a.partition() == b.partition()
 
     @pytest.mark.parametrize("k", [2, 3, 5])
-    def test_sampled_equals_exact(self, k):
+    def test_sampled_equals_exact(self, monkeypatch, k):
         g = random_graph(7, 3)
         a, b = Workspace.from_graphs(g), Workspace.from_graphs(g)
-        k_walk_step(a, k, method="exact")
-        k_walk_step(b, k, method="sampled", seed=17)
+        k_walk_step(a, k)
+        # lowering the switch sends the step to the sampler
+        monkeypatch.setattr(refinement, "EXACT_METHOD_MAX_VERTICES", 0)
+        k_walk_step(b, k, seed=17)
+        assert a.partition() == b.partition()
+
+    @pytest.mark.parametrize("graphs", [
+        [random_graph(7, 3)], [cycle(8)], [cycle(6), two_triangles()],
+    ], ids=["random7", "c8", "c6-two-triangles"])
+    def test_sampled_walk_step_equals_exact(self, monkeypatch, graphs):
+        """The walk-step sampler, with its 24-length window, against the
+        exact whole-algebra closure."""
+        a, b = Workspace.from_graphs(graphs), Workspace.from_graphs(graphs)
+        walk_step(a)
+        monkeypatch.setattr(refinement, "EXACT_METHOD_MAX_VERTICES", 0)
+        walk_step(b, seed=17)
         assert a.partition() == b.partition()
 
     def test_joint_naive_equals_exact(self):
@@ -85,14 +100,14 @@ class TestStepAgreement:
         a = Workspace.from_graphs([g1, g2])
         b = Workspace.from_graphs([g1, g2])
         naive_k_walk_step(a, 3)
-        k_walk_step(b, 3, method="exact")
+        k_walk_step(b, 3)
         assert a.partition() == b.partition()
 
     def test_walk_step_equals_large_k(self):
         g = random_graph(5, 7)
         a, b = Workspace.from_graphs(g), Workspace.from_graphs(g)
-        walk_step(a, method="exact")
-        k_walk_step(b, 25, method="exact")
+        walk_step(a)
+        k_walk_step(b, 25)
         assert a.partition() == b.partition()
 
 
@@ -111,7 +126,7 @@ class TestStepProperties:
     def test_kwalk_refines_and_keeps_invariants(self, g, k):
         ws = Workspace.from_graphs(g)
         before = ws.partition()
-        k_walk_step(ws, k, method="exact")
+        k_walk_step(ws, k)
         order = compare_partitions(ws.partition(), before)
         assert order in (PartitionOrder.FINER, PartitionOrder.EQUAL)
         assert check_invariants(ws.colorings[0]).ok
@@ -122,7 +137,7 @@ class TestStepProperties:
         """ceil(log2 k) WL steps refine at least as much as one k-walk step."""
         wl = Workspace.from_graphs(g)
         kw = Workspace.from_graphs(g)
-        k_walk_step(kw, k, method="exact")
+        k_walk_step(kw, k)
         for _ in range(int(np.ceil(np.log2(k)))):
             wl_step(wl)
         order = compare_partitions(wl.partition(), kw.partition())
@@ -132,8 +147,8 @@ class TestStepProperties:
     @settings(deadline=None, max_examples=25)
     def test_larger_k_refines_smaller(self, g, k):
         a, b = Workspace.from_graphs(g), Workspace.from_graphs(g)
-        k_walk_step(a, k + 1, method="exact")
-        k_walk_step(b, k, method="exact")
+        k_walk_step(a, k + 1)
+        k_walk_step(b, k)
         order = compare_partitions(a.partition(), b.partition())
         assert order in (PartitionOrder.FINER, PartitionOrder.EQUAL)
 
@@ -145,7 +160,7 @@ class TestStabilize:
         stable = {}
         for kind in (RefinementKind.wl(), RefinementKind.kwalk(3), RefinementKind.walk()):
             ws = Workspace.from_graphs(g)
-            hist = stabilize(ws, kind, method="exact")
+            hist = stabilize(ws, kind)
             stable[kind.name] = hist.stable_partition
         assert stable["wl"] == stable["kwalk"] == stable["walk"]
 
@@ -153,7 +168,7 @@ class TestStabilize:
     @settings(deadline=None, max_examples=15)
     def test_walk_stabilizes_within_2n(self, g):
         ws = Workspace.from_graphs(g)
-        hist = stabilize(ws, RefinementKind.walk(), method="exact")
+        hist = stabilize(ws, RefinementKind.walk())
         # final iteration only confirms stability
         assert hist.iterations <= 2 * g.n + 1
 
@@ -167,7 +182,7 @@ class TestStabilize:
 
     def test_dims_monotone_on_walk_run(self):
         ws = Workspace.from_graphs(cycle(8))
-        hist = stabilize(ws, RefinementKind.walk(), method="exact", record_dims=True)
+        hist = stabilize(ws, RefinementKind.walk(), record_dims=True)
         dims = hist.dims
         assert all(a <= b for a, b in zip(dims, dims[1:]))
         assert dims[0] >= 3  # at least the three starting colors
