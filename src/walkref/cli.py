@@ -57,8 +57,12 @@ def _load_graph(path: str):
     try:
         with open(path) as fh:
             return load_graph_json(fh.read())
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise UsageError(f"cannot read graph {path!r}: {exc}") from exc
+
+
+def int_list(text: str) -> tuple:
+    return tuple(int(x) for x in text.split(","))
 
 
 def _kind_from_args(args) -> RefinementKind:
@@ -158,8 +162,7 @@ def _cmd_remark(args) -> int:
 
 
 def _cmd_lower_bound(args) -> int:
-    n_values = tuple(int(x) for x in args.n_values.split(","))
-    report = run_lower_bound(n_values, seed=args.seed, arith=args.arith,
+    report = run_lower_bound(args.n_values, seed=args.seed, arith=args.arith,
                              include_timing=not args.no_timing)
     return _emit_report(args, report)
 
@@ -182,6 +185,10 @@ def _cmd_formula(args) -> int:
 
 
 def _cmd_verify_duplicator(args) -> int:
+    # wall-nonadjacent also pebbles column + 1
+    last = args.grid - (2 if args.scenario == "wall-nonadjacent" else 1)
+    if args.scenario != "opening" and not 0 <= args.column <= last:
+        raise UsageError(f"--column {args.column} is outside 0..{last}")
     base = grid_base(args.grid)
     twist = default_twist(base)
     g_plain, g_twisted = build_cfi(base), build_cfi(base, twist)
@@ -275,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lower-bound",
                        help="distinguishing-count growth on CFI pairs")
-    p.add_argument("--n-values", default="4,6,8,10")
+    p.add_argument("--n-values", type=int_list, default="4,6,8,10")
     common(p, report=True)
     p.set_defaults(func=_cmd_lower_bound)
 

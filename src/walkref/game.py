@@ -393,20 +393,11 @@ def strategy_scenario(base: BaseGraph, twist, u1: int, u2: int, k: int) -> Scena
     contained = comps.twisted_component.contained
     if base.graph.has_edge(u1, u2):
         v = _neighbor_in(base, u1, contained, degree=3)
-        vp = next(
-            x
-            for x in _neighbors(base, v)
-            if x != u1 and base.graph.has_edge(x, u2)
-        )
+        vp = _neighbor_in(base, v, set(_neighbors(base, u2)) - {u1})
         e1, e2 = _norm_edge((u1, v)), _norm_edge((v, vp))
     else:
-        v = next(
-            x
-            for x in sorted(contained)
-            if base.degree(x) == 3
-            and base.graph.has_edge(x, u1)
-            and base.graph.has_edge(x, u2)
-        )
+        v = _neighbor_in(base, u1, contained & set(_neighbors(base, u2)),
+                         degree=3)
         if not _is_separator_pair(base, (u2, v)):
             u1, u2 = u2, u1
         if not _is_separator_pair(base, (u2, v)):
@@ -447,7 +438,7 @@ def _neighbor_in(base: BaseGraph, u: int, allowed, degree=None) -> int:
     for x in sorted(_neighbors(base, u)):
         if x in allowed and (degree is None or base.degree(x) == degree):
             return x
-    raise ValueError(f"no suitable neighbor of {u} in the twisted component")
+    raise ValueError(f"no suitable neighbor of {u}")
 
 
 def _is_separator_pair(base: BaseGraph, pair) -> bool:

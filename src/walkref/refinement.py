@@ -5,9 +5,9 @@ graphs sharing one class-id counter, so that class ids stay comparable
 across the joint universe.  The k-walk partition of a coloring equals the
 coordinate-equality partition of the span of products of its color
 adjacency matrices with at most k factors (stationary walks on loop colors
-embed every shorter length), which gives an exact linear-algebra route in
-addition to the naive walk-enumeration oracle; the walk refinement is the
-k -> infinity limit, realized by closing the span completely.
+embed every shorter length); the k-walk step hashes it from random
+products, and the walk refinement, its k -> infinity limit, closes the
+span completely.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .algebra import (
 from .graph_core import BudgetExceeded, PairPartition, initial_coloring
 
 NAIVE_WALK_BUDGET = 10**7
-EXACT_METHOD_MAX_VERTICES = 40  # above this: sampled steps, no rationals
+EXACT_METHOD_MAX_VERTICES = 40  # above this: sampled walk steps, no rationals
 ARITH_MODES = ("prime", "prime2", "rational")
 
 
@@ -184,7 +184,8 @@ def wl_step(ws: Workspace) -> None:
 def k_walk_step(ws: Workspace, k: int, seed: int = 0,
                 arith: str = "prime2") -> None:
     """One k-walk step: recolor each pair by the multiset of color
-    sequences of all k-step walks between its endpoints."""
+    sequences of all k-step walks between its endpoints.  The seeded
+    sampler computes it at every size (see ``_span_labels``)."""
     if k < 2:
         raise ValueError("k-walk refinement requires k >= 2")
     labels, _ = _span_labels(ws, k, seed=seed, arith=arith)
@@ -256,29 +257,32 @@ def _span_labels(ws, k, *, seed, want_dim=False, arith="prime2"):
     =====================  =====================  =========================
     any, ``want_dim``      whole-algebra closure  whole-algebra closure
     walk                   whole-algebra closure  sampler, 24-length window
-    k-walk                 closure to length k    sampler, k lengths
+    k-walk                 sampler, k lengths     sampler, k lengths
     =====================  =====================  =========================
 
-    Rational arithmetic runs at no more than 40 total vertices; ``prime2``
-    checks a rank on a second prime.
+    A k-walk step runs all k lengths, so its only error is the one-sided
+    Schwartz-Zippel bound of ``sampled_span_profile``.  A walk step has no
+    length to run to: the sampler stops it on a heuristic window, which
+    the slower exact closure replaces up to 40 vertices.  Rational
+    arithmetic is refused above 40 vertices; its k-walk steps sample over
+    both primes, as under ``prime2``, which also checks ranks on both.
     """
     if arith not in ARITH_MODES:
         raise ValueError(f"unknown arithmetic mode {arith!r}")
     n_tot = ws.total_vertices
-    small = n_tot <= EXACT_METHOD_MAX_VERTICES
-    if arith == "rational" and not small:
+    if arith == "rational" and n_tot > EXACT_METHOD_MAX_VERTICES:
         raise ValueError(
             "rational arithmetic is limited to "
             f"{EXACT_METHOD_MAX_VERTICES} total vertices"
         )
     coords = ws.universe_coords()
-    if want_dim or small:
+    if k is None and (want_dim or n_tot <= EXACT_METHOD_MAX_VERTICES):
         domain = RationalDomain() if arith == "rational" else PrimeField(PRIME_1)
         gens = color_matrices(ws.colorings)
-        basis, _ = grow_products(MatrixSpanBasis(gens.n, domain), gens, k)
+        basis, _ = grow_products(MatrixSpanBasis(gens.n, domain), gens)
         if want_dim and arith == "prime2":
             check, _ = grow_products(
-                MatrixSpanBasis(gens.n, PrimeField(PRIME_2)), gens, k
+                MatrixSpanBasis(gens.n, PrimeField(PRIME_2)), gens
             )
             if check.rank != basis.rank:
                 raise AlgebraCrossCheckError(
@@ -292,8 +296,6 @@ def _span_labels(ws, k, *, seed, want_dim=False, arith="prime2"):
         max_length=n_tot * n_tot if k is None else k,
         seed=seed,
         primes=(PRIME_1,) if arith == "prime" else (PRIME_1, PRIME_2),
-        # without a rank to certify the closure, stop the walk step only
-        # after a generous window of unchanged coordinate signatures
         stop_window=24 if k is None else None,
     )
     return prof.labels, None
@@ -346,8 +348,8 @@ def stabilize(
 ) -> RefinementHistory:
     """Iterate one refinement kind until the partition stops changing.
 
-    ``seed`` drives the sampler, which runs only for steps without dims
-    above 40 vertices; dims come from the exact closure at every size.
+    ``seed`` drives the sampler: every k-walk step without walk-count
+    records, and walk steps without dims above 40 vertices.
     """
     if record_walk_multisets and kind.name != "kwalk":
         raise ValueError("walk multiset recording needs an explicit k")

@@ -95,6 +95,16 @@ class TestRefineDistinguish:
         assert outs[0] == outs[1]
         assert json.loads(outs[0][1])["dims"] == [201, 285, 301, 301]
 
+    def test_kwalk_refine_seed_free(self, capsys, tmp_path):
+        # CFI-3: 19 vertices, where k-walk steps run the seeded sampler
+        path = tmp_path / "g3.json"
+        assert main(["gen", "--grid", "3", "--out", str(path)]) == 0
+        capsys.readouterr()
+        outs = [run(capsys, "refine", "--graph", str(path), "--kind", "kwalk",
+                    "--k", "3", "--seed", seed) for seed in ("0", "7")]
+        assert outs[0] == outs[1]
+        assert outs[0][0] == 0
+
 
 class TestReportsAndVerdicts:
     def test_remark_pass_and_fail_exit_codes(self, capsys):
@@ -149,6 +159,7 @@ class TestUsageErrors:
         '{"n": 2, "edges": 5}',
         '{"n": 2, "edges": [["0", 1]]}',
         '{"n": 3, "edges": [[0, 1, 2]]}',
+        pytest.param("[" * 100000, id="deep-nesting"),
     ])
     def test_malformed_graph(self, capsys, tmp_path, payload):
         path = tmp_path / "g.json"
@@ -187,7 +198,7 @@ class TestUsageErrors:
 
         grow = refinement.grow_products
 
-        def truncated_check(basis, gens, max_length):
+        def truncated_check(basis, gens, max_length=None):
             # the second-prime closure stops after the generators
             if getattr(basis.domain, "p", None) == PRIME_2:
                 max_length = 1
@@ -204,7 +215,8 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("command", [
         ["refine", "--kind", "walk"], ["dims"],
-    ], ids=["refine", "dims"])
+        ["refine", "--kind", "kwalk", "--k", "3"],
+    ], ids=["refine", "dims", "refine-kwalk"])
     def test_rational_refused_above_40_vertices(self, capsys, tmp_path,
                                                 command):
         path = tmp_path / "g6.json"  # CFI-6: 43 vertices
@@ -216,6 +228,22 @@ class TestUsageErrors:
         assert code == 1
         assert err.startswith("error: rational arithmetic is limited to 40")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("scenario", ["wall-adjacent", "wall-nonadjacent"])
+    @pytest.mark.parametrize("column", ["-1", "4"])
+    def test_duplicator_column_out_of_range(self, capsys, scenario, column):
+        code = main(["verify-duplicator", "--grid", "4", "--k", "3",
+                     "--scenario", scenario, "--column", column])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: --column {column} is outside 0..")
+        assert "Traceback" not in err
+
+    def test_malformed_n_values(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["lower-bound", "--n-values", "4,x"])
+        assert exc.value.code == 2
+        assert "--n-values" in capsys.readouterr().err
 
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as exc:

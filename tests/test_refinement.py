@@ -2,8 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from walkref.cfi import build_cfi, grid_base
+from walkref.algebra import (
+    MatrixSpanBasis,
+    color_matrices,
+    grow_products,
+    partition_from_span,
+)
+from walkref.cfi import build_cfi, default_twist, grid_base
 from walkref.graph_core import (
+    PairPartition,
     PartitionOrder,
     SimpleGraph,
     check_invariants,
@@ -73,15 +80,35 @@ class TestStepAgreement:
         k_walk_step(b, k)
         assert a.partition() == b.partition()
 
-    @pytest.mark.parametrize("k", [2, 3, 5])
-    def test_sampled_equals_exact(self, monkeypatch, k):
-        g = random_graph(7, 3)
-        a, b = Workspace.from_graphs(g), Workspace.from_graphs(g)
-        k_walk_step(a, k)
-        # lowering the switch sends the step to the sampler
-        monkeypatch.setattr(refinement, "EXACT_METHOD_MAX_VERTICES", 0)
-        k_walk_step(b, k, seed=17)
-        assert a.partition() == b.partition()
+    @pytest.mark.parametrize("graphs,k", [
+        pytest.param([random_graph(7, 3)], 2, id="2"),
+        pytest.param([random_graph(7, 3)], 3, id="3"),
+        pytest.param([random_graph(7, 3)], 5, id="5"),
+        # beyond naive_k_walk_step's budget
+        pytest.param([build_cfi(grid_base(4)).graph], 4, id="cfi4-4"),
+        # 38 joint vertices
+        pytest.param([build_cfi(grid_base(3)).graph,
+                      build_cfi(grid_base(3), default_twist(grid_base(3))).graph],
+                     3, id="cfi3-pair-3"),
+    ])
+    def test_sampled_equals_exact(self, graphs, k):
+        """The k-walk sampler against the exact closure bounded at k."""
+        ws = Workspace.from_graphs(graphs)
+        gens = color_matrices(ws.colorings)
+        basis, _ = grow_products(MatrixSpanBasis(gens.n), gens, k)
+        labels = partition_from_span(basis, ws.universe_coords())
+        k_walk_step(ws, k, seed=17)
+        assert ws.partition() == PairPartition(ws.sizes, labels)
+
+    @pytest.mark.parametrize("g", [random_graph(7, 3),
+                                   build_cfi(grid_base(3)).graph],
+                             ids=["random7", "cfi3"])
+    def test_k_walk_step_runs_no_closure(self, monkeypatch, g):
+        def refuse(*args):
+            raise AssertionError("k-walk step ran the exact closure")
+
+        monkeypatch.setattr(refinement, "grow_products", refuse)
+        k_walk_step(Workspace.from_graphs(g), 3)
 
     @pytest.mark.parametrize("graphs", [
         [random_graph(7, 3)], [cycle(8)], [cycle(6), two_triangles()],
