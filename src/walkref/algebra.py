@@ -20,6 +20,11 @@ scale.  Two closures use the engine:
   coordinate partition of the products, which can only err by merging
   coordinates, with the Schwartz-Zippel bound stated there.
 
+Both end in a coordinate partition, grouped exactly by
+``graph_core.group_rows``: the columns of the basis rows
+(``partition_from_span``) and the per-coordinate signature rows of the
+hasher, which it also counts at every length.
+
 Primes default to ~2^22 so that every inner product fits exactly in float64
 BLAS with 512-row chunking (p^2 * 512 < 2^53).
 """
@@ -31,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph_core import _canonicalize
+from .graph_core import group_rows
 
 PRIME_1 = 4194301
 PRIME_2 = 4194287
@@ -344,6 +349,8 @@ def partition_from_span(basis: MatrixSpanBasis, coords=None) -> np.ndarray:
 
     Two coordinates share a class iff every basis row has equal entries at
     both.  Labels are canonical by first occurrence in coordinate order.
+    Over a prime field ``group_rows`` groups the columns through a
+    transposed view, without a transposed copy.
     """
     if basis.rank == 0:
         raise ValueError("empty basis has no coordinate partition")
@@ -352,7 +359,7 @@ def partition_from_span(basis: MatrixSpanBasis, coords=None) -> np.ndarray:
         if coords is not None:
             stacked = stacked[:, coords]
         # int64 labels: a -0.0 entry must not split a class from 0.0
-        return _labels_from_columns(stacked.astype(np.int64))
+        return group_rows(stacked.astype(np.int64).T)
     cols = np.array(basis.row_vectors(), dtype=object)
     if coords is not None:
         cols = cols[:, coords]
@@ -362,12 +369,6 @@ def partition_from_span(basis: MatrixSpanBasis, coords=None) -> np.ndarray:
         key = tuple(cols[:, j])
         labels[j] = seen.setdefault(key, len(seen))
     return labels
-
-
-def _labels_from_columns(stacked: np.ndarray) -> np.ndarray:
-    """Canonical first-occurrence labels for the columns of a 2-D array."""
-    cols = np.ascontiguousarray(stacked.T)
-    return _canonicalize(cols.view([("", cols.dtype)] * cols.shape[1]).ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -416,11 +417,13 @@ def sampled_span_profile(
     table = np.asarray(color_table, dtype=np.int64)
     n_tot = table.shape[0]
     mask = table >= 0
-    local = np.zeros_like(table)
     uniq = np.unique(table[mask])
-    local[mask] = np.searchsorted(uniq, table[mask])
     num_colors = uniq.size
-    maskf = mask.astype(np.float64)
+    # local color index per coordinate; off-universe coordinates read the
+    # zero column that ends each coefficient table
+    local = np.full_like(table, num_colors)
+    local[mask] = np.searchsorted(uniq, table[mask])
+    coef = np.zeros((_SAMPLED_CHAINS, num_colors + 1))
 
     flat_coords = np.asarray(coords, dtype=np.int64)
     hashes = [np.full(flat_coords.size, _HASH_OFFS, dtype=np.uint64) for _ in primes]
@@ -428,8 +431,9 @@ def sampled_span_profile(
 
     def fresh_factors(i: int) -> np.ndarray:
         """Stack of random generator combinations, shape (chains, n, n)."""
-        r = rngs[i].integers(1, primes[i], size=(_SAMPLED_CHAINS, num_colors))
-        return r[:, local] * maskf
+        coef[:, :num_colors] = rngs[i].integers(
+            1, primes[i], size=(_SAMPLED_CHAINS, num_colors))
+        return np.take(coef, local, axis=1)
 
     chains = [fresh_factors(i) for i in range(len(primes))]
 
@@ -446,8 +450,7 @@ def sampled_span_profile(
             picked = samples[:, flat_coords].astype(np.uint64)
             for row in picked:
                 hashes[i] = hashes[i] * _HASH_MULT + row
-        sig = np.stack(hashes, axis=1)
-        count = np.unique(sig.view([("", np.uint64)] * sig.shape[1]).ravel()).size
+        count = int(group_rows(np.stack(hashes, axis=1)).max()) + 1
         # signature partition can only refine over time; track class count
         changed = count != prev_count
         prev_count = count
@@ -464,7 +467,7 @@ def sampled_span_profile(
     sig = np.stack(
         [table.ravel()[flat_coords].astype(np.uint64)] + hashes, axis=1
     )
-    labels = _labels_from_columns(sig.T)
+    labels = group_rows(sig)
     return SpanProfile(
         labels=labels,
         stabilized_length=stabilized_length,

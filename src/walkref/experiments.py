@@ -23,6 +23,7 @@ from .refinement import (
     ARITH_MODES,
     RefinementKind,
     Workspace,
+    check_arith,
     k_walk_step,
     naive_k_walk_step,
     stabilize,
@@ -319,6 +320,8 @@ def run_property_suite(*, seeds=tuple(range(12)), n_max: int = 7,
         n = 4 + (s % (n_max - 3))
         graphs.append((f"random-{n}-{s}", seeded_random_graph(n, s)))
     cfi_graphs = [(f"cfi-{n}", build_cfi(grid_base(n)).graph) for n in cfi_ns]
+    # the isomorphism check refines each graph jointly with a relabelled copy
+    check_arith(arith, 2 * max(g.n for _, g in graphs + cfi_graphs))
 
     oracle_ok, wl_ok = True, True
     for name, g in graphs:

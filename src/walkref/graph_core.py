@@ -228,11 +228,65 @@ class PairPartition:
 
 
 def _canonicalize(flat: np.ndarray) -> np.ndarray:
-    """Renumber labels by first occurrence (any 1-D array that
-    ``np.unique`` sorts, structured rows included)."""
+    """Renumber the labels of a 1-D integer array by first occurrence."""
     _, first_idx, inverse = np.unique(flat, return_index=True, return_inverse=True)
+    return _by_first_occurrence(first_idx, inverse)
+
+
+def _by_first_occurrence(first_idx: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """Group ids renumbered in the order of their first members."""
     order = np.argsort(np.argsort(first_idx))
     return order[inverse].astype(np.int64)
+
+
+_GROUP_CHECK_ENTRIES = 2**17  # entries compared per chunk of the row check
+
+
+def _row_multipliers(width: int) -> np.ndarray:
+    """Fixed odd 64-bit multipliers, one per column, for row hashing."""
+    rng = np.random.default_rng(0x5EED)
+    return rng.integers(0, 2**64, size=width, dtype=np.uint64) | np.uint64(1)
+
+
+def group_rows(a: np.ndarray) -> np.ndarray:
+    """Exact first-occurrence labels for the rows of a 2-D int64 or uint64
+    array.
+
+    Rows get equal labels iff they are equal.  Each row is hashed to one
+    uint64 (a wrapping dot product with fixed odd multipliers), the
+    hashes are grouped by one 1-D sort, and every row is then compared
+    with the first row of its group, ``_GROUP_CHECK_ENTRIES`` entries at a
+    time.  A hash collision fails that check, and the rows are then
+    grouped by ``np.lexsort`` instead, so the labels are always exact.
+    Any layout works, so the columns of ``b`` are grouped by
+    ``group_rows(b.T)`` without a transposed copy.
+    """
+    a = np.asarray(a)
+    if a.ndim != 2 or a.dtype not in (np.int64, np.uint64):
+        raise ValueError("group_rows takes a 2-D int64 or uint64 array")
+    rows, width = a.shape
+    hashes = a.view(np.uint64) @ _row_multipliers(width)
+    _, first_idx, inverse = np.unique(hashes, return_index=True,
+                                      return_inverse=True)
+    rep = first_idx[inverse]
+    step = max(1, _GROUP_CHECK_ENTRIES // max(width, 1))
+    if not all(np.array_equal(a[s : s + step], a[rep[s : s + step]])
+               for s in range(0, rows, step)):
+        first_idx, inverse = _lexsort_groups(a)
+    return _by_first_occurrence(first_idx, inverse)
+
+
+def _lexsort_groups(a: np.ndarray):
+    """Exact ``(first_idx, inverse)`` of the rows of a 2-D array, as
+    ``np.unique`` returns them; the stable sort puts each group's first
+    row at its start."""
+    order = np.lexsort(a.T)
+    ordered = a[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(order), dtype=np.int64)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse
 
 
 def partition_of(c: ColoredCompleteGraph) -> PairPartition:
@@ -273,4 +327,5 @@ __all__ = [
     "compare_partitions",
     "check_invariants",
     "load_graph_json",
+    "group_rows",
 ]

@@ -30,7 +30,12 @@ from .algebra import (
     partition_from_span,
     sampled_span_profile,
 )
-from .graph_core import BudgetExceeded, PairPartition, initial_coloring
+from .graph_core import (
+    BudgetExceeded,
+    PairPartition,
+    group_rows,
+    initial_coloring,
+)
 
 NAIVE_WALK_BUDGET = 10**7
 EXACT_METHOD_MAX_VERTICES = 40  # above this: sampled walk steps, no rationals
@@ -246,6 +251,18 @@ def naive_k_walk_step(ws: Workspace, k: int, budget: int = NAIVE_WALK_BUDGET):
     )
 
 
+def check_arith(arith: str, total_vertices: int) -> None:
+    """Raise ValueError for an unknown arithmetic mode, or for rational
+    arithmetic on more than ``EXACT_METHOD_MAX_VERTICES`` total vertices."""
+    if arith not in ARITH_MODES:
+        raise ValueError(f"unknown arithmetic mode {arith!r}")
+    if arith == "rational" and total_vertices > EXACT_METHOD_MAX_VERTICES:
+        raise ValueError(
+            "rational arithmetic is limited to "
+            f"{EXACT_METHOD_MAX_VERTICES} total vertices"
+        )
+
+
 def _span_labels(ws, k, *, seed, want_dim=False, arith="prime2"):
     """Coordinate partition of the span of the color-matrix products of
     length <= k (``k=None``: the whole algebra), and its rank if asked.
@@ -267,14 +284,8 @@ def _span_labels(ws, k, *, seed, want_dim=False, arith="prime2"):
     arithmetic is refused above 40 vertices; its k-walk steps sample over
     both primes, as under ``prime2``, which also checks ranks on both.
     """
-    if arith not in ARITH_MODES:
-        raise ValueError(f"unknown arithmetic mode {arith!r}")
     n_tot = ws.total_vertices
-    if arith == "rational" and n_tot > EXACT_METHOD_MAX_VERTICES:
-        raise ValueError(
-            "rational arithmetic is limited to "
-            f"{EXACT_METHOD_MAX_VERTICES} total vertices"
-        )
+    check_arith(arith, n_tot)
     coords = ws.universe_coords()
     if k is None and (want_dim or n_tot <= EXACT_METHOD_MAX_VERTICES):
         domain = RationalDomain() if arith == "rational" else PrimeField(PRIME_1)
@@ -309,8 +320,7 @@ def _joint_row_labels(rows_per_graph):
     for w in widths:
         tags = [t for t, r in enumerate(rows_per_graph) if r.shape[1] == w]
         stacked = np.vstack([rows_per_graph[t] for t in tags])
-        _, inverse = np.unique(stacked, axis=0, return_inverse=True)
-        inverse = inverse + offset
+        inverse = group_rows(stacked) + offset
         offset = int(inverse.max()) + 1
         pos = 0
         for t in tags:
@@ -433,6 +443,7 @@ __all__ = [
     "k_walk_step",
     "walk_step",
     "naive_k_walk_step",
+    "check_arith",
     "stabilize",
     "iterations_to_distinguish",
 ]

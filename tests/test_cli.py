@@ -229,6 +229,22 @@ class TestUsageErrors:
         assert err.startswith("error: rational arithmetic is limited to 40")
         assert err.count("\n") == 1
 
+    def test_rational_suite_refused_before_any_work(self, capsys,
+                                                    monkeypatch):
+        import walkref.experiments as experiments
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the suite refined before refusing")
+
+        # the CFI-4 isomorphism pair has 54 joint vertices
+        monkeypatch.setattr(experiments, "k_walk_step", no_work)
+        code = main(["suite", "--arith", "rational", "--no-timing"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == ("error: rational arithmetic is limited to "
+                                "40 total vertices\n")
+
     @pytest.mark.parametrize("scenario", ["wall-adjacent", "wall-nonadjacent"])
     @pytest.mark.parametrize("column", ["-1", "4"])
     def test_duplicator_column_out_of_range(self, capsys, scenario, column):

@@ -2,8 +2,9 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from walkref import graph_core
 from walkref.graph_core import (
     EDGE,
     LOOP,
@@ -14,6 +15,7 @@ from walkref.graph_core import (
     SimpleGraph,
     check_invariants,
     compare_partitions,
+    group_rows,
     initial_coloring,
     load_graph_json,
     partition_of,
@@ -159,3 +161,72 @@ def test_compare_antisymmetric(a, b):
         PartitionOrder.INCOMPARABLE: PartitionOrder.INCOMPARABLE,
     }
     assert s == flip[r]
+
+
+def _sorted_row_labels(a):
+    """Reference first-occurrence row labels from a structured-row sort."""
+    a = np.ascontiguousarray(a)
+    rows = a.view([("", a.dtype)] * a.shape[1]).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
+
+
+@st.composite
+def row_arrays(draw):
+    """Integer arrays with few distinct values and many repeated rows."""
+    dtype = draw(st.sampled_from([np.int64, np.uint64]))
+    info = np.iinfo(dtype)
+    values = st.integers(-3 if dtype is np.int64 else 0, 3) | st.sampled_from(
+        [int(info.min), int(info.max), int(info.max) // 2 + 1])
+    pool = np.array(draw(st.lists(values, min_size=1, max_size=3)), dtype=dtype)
+    width = draw(st.integers(1, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = pool[rng.integers(0, len(pool), size=(draw(st.integers(1, 5)), width))]
+    a = base[rng.integers(0, len(base), size=draw(st.integers(0, 40)))]
+    if draw(st.booleans()):
+        a = np.asfortranarray(a)
+    return a
+
+
+class TestGroupRows:
+    @settings(deadline=None, max_examples=150)
+    @given(row_arrays())
+    def test_matches_structured_sort(self, a):
+        labels = group_rows(a)
+        assert labels.dtype == np.int64
+        assert np.array_equal(labels, _sorted_row_labels(a))
+
+    def test_groups_columns_of_a_transposed_view(self):
+        b = np.random.default_rng(1).integers(-2, 2, size=(4, 300))
+        assert np.array_equal(group_rows(b.T), _sorted_row_labels(b.T))
+
+    def test_forced_collision_stays_exact(self, monkeypatch):
+        calls = []
+        lexsort_groups = graph_core._lexsort_groups
+
+        def counted(a):
+            calls.append(a.shape)
+            return lexsort_groups(a)
+
+        # every row hashes to zero, so only the row check can split them
+        monkeypatch.setattr(graph_core, "_row_multipliers",
+                            lambda width: np.zeros(width, dtype=np.uint64))
+        monkeypatch.setattr(graph_core, "_lexsort_groups", counted)
+        a = np.random.default_rng(2).integers(-3, 3, size=(500, 7))
+        assert np.array_equal(group_rows(a), _sorted_row_labels(a))
+        assert calls == [(500, 7)]
+        same = np.tile(a[:1], (4, 1))
+        assert np.array_equal(group_rows(same), np.zeros(4, dtype=np.int64))
+        assert len(calls) == 1
+        # two rows per chunk: only the third chunk holds a second row value
+        monkeypatch.setattr(graph_core, "_GROUP_CHECK_ENTRIES", 14)
+        late = np.vstack([same, same[:1], a[1:2]])
+        assert np.array_equal(group_rows(late), [0, 0, 0, 0, 0, 1])
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("bad", [np.zeros(3, dtype=np.int64),
+                                     np.zeros((2, 2)),
+                                     np.zeros((2, 2), dtype=np.int32)])
+    def test_rejects_other_shapes_and_dtypes(self, bad):
+        with pytest.raises(ValueError):
+            group_rows(bad)

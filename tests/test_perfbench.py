@@ -1,4 +1,4 @@
-"""One traced round of three benchmark workloads, as ``perfbench/run.py``
+"""One traced round of each benchmark workload, as ``perfbench/run.py``
 spawns them: a guard on the walkref API that the benchmark and its tracer
 hooks call."""
 
@@ -14,7 +14,7 @@ WORKER = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
 
 
 @pytest.mark.parametrize("workload", ["random-dims", "cfi-single",
-                                      "logic-game"])
+                                      "cfi-pairs", "logic-game"])
 def test_traced_round_runs_clean(workload):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1")

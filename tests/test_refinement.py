@@ -43,6 +43,14 @@ def random_graph(n, seed, p=0.5):
     return SimpleGraph.from_edges(n, edges)
 
 
+# graphs whose stable walk partitions the certificate tests check
+STABLE_CASES = [
+    build_cfi(grid_base(3)).graph, build_cfi(grid_base(4)).graph,
+    build_cfi(grid_base(5)).graph, cycle(8), two_triangles(),
+    random_graph(9, 3), random_graph(11, 4, p=0.3),
+]
+
+
 @st.composite
 def small_graphs(draw):
     n = draw(st.integers(3, 6))
@@ -214,17 +222,22 @@ class TestStabilize:
         assert all(a <= b for a, b in zip(dims, dims[1:]))
         assert dims[0] >= 3  # at least the three starting colors
 
-    @pytest.mark.parametrize("g", [
-        build_cfi(grid_base(3)).graph, build_cfi(grid_base(4)).graph,
-        build_cfi(grid_base(5)).graph, cycle(8), two_triangles(),
-        random_graph(9, 3), random_graph(11, 4, p=0.3),
-    ])
+    @pytest.mark.parametrize("g", STABLE_CASES)
     def test_final_dim_is_stable_class_count(self, g):
         # the stable coloring is a coherent configuration, whose algebra
         # has one basis matrix per class
         hist = stabilize(Workspace.from_graphs(g), RefinementKind.walk(),
                          record_dims=True)
         assert hist.dims[-1] == hist.stable_partition.num_classes
+
+    @pytest.mark.parametrize("g", STABLE_CASES)
+    def test_stable_partition_is_wl_stable(self, g):
+        # walk refinement refines WL, so its stable partition is a fixed
+        # point of one more WL step
+        ws = Workspace.from_graphs(g)
+        stable = stabilize(ws, RefinementKind.walk()).stable_partition
+        wl_step(ws)
+        assert ws.partition() == stable
 
     def test_walk_records_capture_counts(self):
         ws = Workspace.from_graphs(cycle(5))
