@@ -25,6 +25,7 @@ from .experiments import (
     walk_dimension_chain,
 )
 from .game import (
+    NoScenarioError,
     duplicator_bijection,
     opening_scenario,
     verify_component_bound,
@@ -197,7 +198,10 @@ def _cmd_verify_duplicator(args) -> int:
     elif args.scenario == "wall-nonadjacent":
         scen = wall_nonadjacent_scenario(base, twist, args.column, args.k)
     else:
-        scen = opening_scenario(base, twist, args.k)
+        try:
+            scen = opening_scenario(base, twist, args.k)
+        except NoScenarioError as exc:
+            raise UsageError(str(exc)) from exc
     bij = duplicator_bijection(g_plain, g_twisted, scen.pebbles,
                                scen.v, scen.e1, scen.e2)
     safe, counterexample = verify_round_safe(

@@ -9,11 +9,18 @@ map phi that relocates the twist defect onto e1; entries originating from v
 get an extra gadget-local correction psi that shifts the defect to an edge
 chosen per walk run, so that no two consecutive pebble pairs ever straddle
 the defect.
+
+``map_tuple`` applies the bijection to one tuple, as the construction
+defines it; ``map_tuples`` applies it to a whole array of tuples through
+three small tables.  The exhaustive verifiers walk the tuple space in
+chunks of ``CHUNK_ENTRIES`` entries through ``map_tuples``, so their
+memory is one byte per image tuple (the injectivity marks) plus one chunk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +35,13 @@ from .cfi import (
 from .graph_core import BudgetExceeded
 
 TUPLE_BUDGET = 10**7
+# entries (walk rows x (k + 1)) per chunk of the exhaustive verifiers; a
+# chunk's temporaries then stay within a few MiB
+CHUNK_ENTRIES = 2**15
+
+
+class NoScenarioError(ValueError):
+    """The requested strategy scenario does not exist on this base graph."""
 
 
 @dataclass(frozen=True)
@@ -210,6 +224,57 @@ class DuplicatorBijection:
                 pair_edges.append(self.e1)
         return tuple(image), pair_edges
 
+    @cached_property
+    def _tables(self):
+        """Base-vertex origin per gadget vertex; per origin pair, the index
+        of ``chosen_edge`` in v's incident-edge order; psi stacked in that
+        order; and the index of e1 in it."""
+        base = self.g_plain.base
+        order = base.incident[self.v]
+        origin = np.array([o for o, _ in self.g_plain.vertex_origin],
+                          dtype=np.int64)
+        choose = np.array(
+            [[order.index(self.chosen_edge(a, b)) for b in range(base.n)]
+             for a in range(base.n)],
+            dtype=np.int64,
+        )
+        psi = np.stack([self.psi_by_edge[e] for e in order])
+        return origin, choose, psi, order.index(self.e1)
+
+    def map_tuples(self, walks):
+        """``map_tuple_with_edges`` on every row of an (r, k-1) array.
+
+        Returns the (r, k-1) images and the (r, k) defect edges of the
+        consecutive pairs, as indices into ``base.incident[v]``.
+        """
+        origin, choose, psi, e1 = self._tables
+        k = self.pebbles.k
+        walks = np.asarray(walks, dtype=np.int64)
+        if walks.ndim != 2 or walks.shape[1] != k - 1:
+            raise ValueError(f"expected rows of {k - 1}-tuples")
+        org = np.empty((len(walks), k + 1), dtype=np.int64)
+        org[:, 0], org[:, k] = self.pebbles.u1, self.pebbles.u2
+        org[:, 1:k] = origin[walks]
+        at_v = org == self.v
+        at_v[:, [0, k]] = False  # the anchors always bound a run
+        # origins of the run boundaries left and right of each position
+        left, right = org.copy(), org.copy()
+        for p in range(1, k):
+            left[:, p] = np.where(at_v[:, p - 1], left[:, p - 1], org[:, p - 1])
+        for p in range(k - 1, 0, -1):
+            right[:, p] = np.where(at_v[:, p + 1], right[:, p + 1],
+                                   org[:, p + 1])
+        run_edge = np.where(at_v, choose[left, right], -1)
+        image = self.phi[walks]
+        inner = run_edge[:, 1:k]
+        image = np.where(inner >= 0, psi[inner, image], image)
+        # pair (p, p+1) takes the run edge of p, else that of p+1, else e1
+        pair_edges = np.where(
+            run_edge[:, :k] >= 0, run_edge[:, :k],
+            np.where(run_edge[:, 1:] >= 0, run_edge[:, 1:], e1),
+        )
+        return image, pair_edges
+
 
 def duplicator_bijection(
     g_plain: CfiGraph,
@@ -266,6 +331,16 @@ def _anchor_pairs(bij: DuplicatorBijection):
     return firsts, lasts
 
 
+def _product_chunks(n: int, m: int):
+    """The rows of ``itertools.product(range(n), repeat=m)``, in order, as
+    (r, m) arrays of about ``CHUNK_ENTRIES`` entries with the two anchors."""
+    rows = max(1, CHUNK_ENTRIES // (m + 2))
+    total = n**m
+    for start in range(0, total, rows):
+        flat = np.arange(start, min(start + rows, total))
+        yield np.stack(np.unravel_index(flat, (n,) * m), axis=1)
+
+
 def verify_round_safe(
     bij: DuplicatorBijection,
     g_plain: CfiGraph,
@@ -281,7 +356,11 @@ def verify_round_safe(
     isomorphic two-vertex subgraphs: equality and adjacency both agree.
     Also confirms injectivity of the tuple map along the way.  With
     ``return_counterexample`` returns (ok, failing tuple or None) instead
-    of the bare verdict.
+    of the bare verdict; the failing tuple is the first in product order.
+
+    The tuples go through ``map_tuples`` in chunks of ``CHUNK_ENTRIES``
+    entries; injectivity is tracked by one byte per image tuple, so the
+    memory is n^(k-1) bytes plus one chunk.
     """
     n, k = g_plain.n, pebbles.k
     firsts, lasts = _anchor_pairs(bij)
@@ -290,29 +369,33 @@ def verify_round_safe(
         raise BudgetExceeded(f"{cost} tuples exceed the budget of {budget}")
     a_plain = g_plain.graph.adjacency()
     a_tw = g_twisted.graph.adjacency()
-    seen = set()
-    import itertools
+    (x0, y0), (xk, yk) = np.array(firsts).T, np.array(lasts).T
+    place = n ** np.arange(k - 2, -1, -1)  # image tuple -> product index
+    seen = np.zeros(cost, dtype=bool)
 
     def pair_ok(x, y, ix, iy):
-        return (x == y) == (ix == iy) and a_plain[x, y] == a_tw[ix, iy]
+        return ((x == y) == (ix == iy)) & (a_plain[x, y] == a_tw[ix, iy])
 
     def verdict(ok, walk=None):
         return (ok, walk) if return_counterexample else ok
 
-    for walk in itertools.product(range(n), repeat=k - 1):
-        image = bij.map_tuple(walk)
-        if image in seen:
-            return verdict(False, walk)
-        seen.add(image)
-        for i in range(k - 2):  # interior consecutive pairs
-            if not pair_ok(walk[i], walk[i + 1], image[i], image[i + 1]):
-                return verdict(False, walk)
+    for walks in _product_chunks(n, k - 1):
+        image, _ = bij.map_tuples(walks)
+        code = image @ place
+        bad = seen[code]
+        repeat = np.ones(len(code), dtype=bool)
+        repeat[np.unique(code, return_index=True)[1]] = False
+        bad |= repeat
+        # interior consecutive pairs
+        bad |= ~pair_ok(walks[:, :-1], walks[:, 1:],
+                        image[:, :-1], image[:, 1:]).all(axis=1)
         # anchor pairs: must hold for every gadget-vertex pebble choice,
         # and the first/last choices are independent of each other
-        if not all(pair_ok(x0, walk[0], y0, image[0]) for x0, y0 in firsts):
-            return verdict(False, walk)
-        if not all(pair_ok(walk[-1], xk, image[-1], yk) for xk, yk in lasts):
-            return verdict(False, walk)
+        bad |= ~pair_ok(x0, walks[:, :1], y0, image[:, :1]).all(axis=1)
+        bad |= ~pair_ok(walks[:, -1:], xk, image[:, -1:], yk).all(axis=1)
+        if bad.any():
+            return verdict(False, tuple(walks[np.argmax(bad)].tolist()))
+        seen[code] = True
     return verdict(True)
 
 
@@ -329,20 +412,21 @@ def verify_component_bound(
     grid_n = (base.n - 1) // 2
     bound = min(ell, 2 * grid_n - ell - 2)
     k = bij.pebbles.k
-    import itertools
-
+    order = base.incident[bij.v]
+    # one representative gadget vertex per origin reproduces the runs
+    rep = np.array([bij.g_plain.gadget(o)[0] for o in range(base.n)])
     cache = {}
-    for origins in itertools.product(range(base.n), repeat=k - 1):
-        # one representative gadget vertex per origin reproduces the runs
-        walk = tuple(bij.g_plain.gadget(o)[0] for o in origins)
-        _, pair_edges = bij.map_tuple_with_edges(walk)
-        full = (bij.pebbles.u1, *origins, bij.pebbles.u2)
-        for i in range(k):
-            key = (full[i], full[i + 1], pair_edges[i])
+    for origins in _product_chunks(base.n, k - 1):
+        _, pair_edges = bij.map_tuples(rep[origins])
+        full = np.empty((len(origins), k + 1), dtype=np.int64)
+        full[:, 0], full[:, k] = bij.pebbles.u1, bij.pebbles.u2
+        full[:, 1:k] = origins
+        keys = (full[:, :k] * base.n + full[:, 1:]) * len(order) + pair_edges
+        for key in np.unique(keys).tolist():
             if key not in cache:
-                comps = twisted_components(
-                    base, {full[i], full[i + 1]}, pair_edges[i]
-                )
+                pair, e = divmod(key, len(order))
+                comps = twisted_components(base, divmod(pair, base.n),
+                                           order[e])
                 cache[key] = comps.twisted_component.size
             if cache[key] < bound:
                 return False
@@ -401,7 +485,7 @@ def strategy_scenario(base: BaseGraph, twist, u1: int, u2: int, k: int) -> Scena
         if not _is_separator_pair(base, (u2, v)):
             u1, u2 = u2, u1
         if not _is_separator_pair(base, (u2, v)):
-            raise ValueError("no orientation makes {u2, v} a separator")
+            raise NoScenarioError("no orientation makes {u2, v} a separator")
         e1, e2 = _norm_edge((u1, v)), _norm_edge((u2, v))
     w = next(x for x in e1 if x != v)
     _, ell = _separator_side_sizes(base, set(e2), w)
@@ -424,10 +508,22 @@ def wall_nonadjacent_scenario(base: BaseGraph, twist, column: int, k: int) -> Sc
 
 def opening_scenario(base: BaseGraph, twist, k: int) -> Scenario:
     """Start-of-game choice: pretend pebbles sit on a middle separator edge
-    whose sides both keep at least n-2 vertices."""
+    whose sides both keep at least n-2 vertices.
+
+    Takes the first column, outward from the middle one (c, c+1, c-1,
+    c+2, ...), whose wall-adjacent scenario exists; on grid 3 the middle
+    column has none.
+    """
     grid_n = (base.n - 1) // 2
-    column = grid_n // 2
-    return wall_adjacent_scenario(base, twist, column, k)
+    middle = grid_n // 2
+    for column in sorted(range(grid_n),
+                         key=lambda c: (abs(c - middle), c < middle)):
+        try:
+            return wall_adjacent_scenario(base, twist, column, k)
+        except NoScenarioError:
+            continue
+    raise NoScenarioError(
+        f"no column of grid {grid_n} has a wall-adjacent scenario")
 
 
 def _neighbors(base: BaseGraph, u: int):
@@ -438,7 +534,7 @@ def _neighbor_in(base: BaseGraph, u: int, allowed, degree=None) -> int:
     for x in sorted(_neighbors(base, u)):
         if x in allowed and (degree is None or base.degree(x) == degree):
             return x
-    raise ValueError(f"no suitable neighbor of {u}")
+    raise NoScenarioError(f"no suitable neighbor of {u}")
 
 
 def _is_separator_pair(base: BaseGraph, pair) -> bool:
@@ -447,6 +543,7 @@ def _is_separator_pair(base: BaseGraph, pair) -> bool:
 
 __all__ = [
     "TUPLE_BUDGET",
+    "NoScenarioError",
     "PebblePlacement",
     "Component",
     "ComponentStructure",

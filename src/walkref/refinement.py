@@ -38,6 +38,7 @@ from .graph_core import (
 )
 
 NAIVE_WALK_BUDGET = 10**7
+WL_ENTRY_BUDGET = 2**24  # n^3 per graph in one wl_step: n <= 256
 EXACT_METHOD_MAX_VERTICES = 40  # above this: sampled walk steps, no rationals
 ARITH_MODES = ("prime", "prime2", "rational")
 
@@ -175,7 +176,19 @@ class RefinementHistory:
 
 def wl_step(ws: Workspace) -> None:
     """One 2-dim Weisfeiler-Leman step: recolor each pair (u, v) by the
-    multiset over w of color pairs (chi(u, w), chi(w, v))."""
+    multiset over w of color pairs (chi(u, w), chi(w, v)).
+
+    Builds an (n, n, n) int64 array per graph: at the 256 vertices that
+    ``WL_ENTRY_BUDGET`` = 2^24 entries allows, that array takes 128 MiB and
+    the step peaks near 420 MiB.  A larger graph is refused with
+    ``BudgetExceeded`` before anything is allocated.
+    """
+    for c in ws.colorings:
+        if c.n**3 > WL_ENTRY_BUDGET:
+            raise BudgetExceeded(
+                f"a WL step on {c.n} vertices needs {c.n**3} entries > "
+                f"budget {WL_ENTRY_BUDGET}"
+            )
     shift = int(max(c.color.max() for c in ws.colorings)) + 1
     rows = []
     for c in ws.colorings:
@@ -434,6 +447,7 @@ def iterations_to_distinguish(
 
 __all__ = [
     "NAIVE_WALK_BUDGET",
+    "WL_ENTRY_BUDGET",
     "ARITH_MODES",
     "RefinementKind",
     "Workspace",

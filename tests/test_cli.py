@@ -135,6 +135,16 @@ class TestReportsAndVerdicts:
         assert d["round_safe"] and d["component_bound"]
         assert d["counterexample"] is None
 
+    def test_verify_duplicator_opening_grid3(self, capsys):
+        # the middle column of grid 3 has no wall-adjacent scenario, so the
+        # opening takes the next column out
+        code, out = run(capsys, "verify-duplicator", "--grid", "3",
+                        "--k", "3", "--scenario", "opening")
+        assert code == 0
+        d = json.loads(out)
+        assert d["pebbles"] == [2, 5]
+        assert d["round_safe"] and d["component_bound"]
+
     def test_formula(self, capsys, tmp_path):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -185,6 +195,15 @@ class TestUsageErrors:
         assert code == 4
         assert err.startswith("error: naive enumeration needs")
         assert "Traceback" not in err
+
+    def test_wl_budget_refusal(self, capsys, tmp_path):
+        path = tmp_path / "cycle.json"
+        path.write_text(json.dumps(
+            {"n": 600, "edges": [[i, i + 1] for i in range(599)] + [[0, 599]]}))
+        code = main(["refine", "--graph", str(path), "--kind", "wl"])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("error: a WL step on 600 vertices needs")
 
     def test_csv_unsupported_command(self, cfi_pair):
         plain, _ = cfi_pair

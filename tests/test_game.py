@@ -1,10 +1,13 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
+from walkref import game
 from walkref.cfi import build_cfi, default_twist, grid_base
 from walkref.game import (
+    NoScenarioError,
     PebblePlacement,
     duplicator_bijection,
     is_wall,
@@ -18,11 +21,111 @@ from walkref.game import (
 )
 
 
+def reference_round_safe(bij, g_plain, g_twisted, pebbles):
+    """The per-tuple round-safety check through ``map_tuple``, in product
+    order: the oracle for ``verify_round_safe``.  Returns (ok, walk)."""
+    n, k = g_plain.n, pebbles.k
+    g, phi = bij.g_plain, bij.phi
+    firsts = [(x, int(phi[x])) for x in g.gadget(bij.pebbles.u1)]
+    lasts = [(x, int(phi[x])) for x in g.gadget(bij.pebbles.u2)]
+    a_plain = g_plain.graph.adjacency()
+    a_tw = g_twisted.graph.adjacency()
+    seen = set()
+
+    def pair_ok(x, y, ix, iy):
+        return (x == y) == (ix == iy) and a_plain[x, y] == a_tw[ix, iy]
+
+    for walk in itertools.product(range(n), repeat=k - 1):
+        image = bij.map_tuple(walk)
+        if image in seen:
+            return False, walk
+        seen.add(image)
+        for i in range(k - 2):
+            if not pair_ok(walk[i], walk[i + 1], image[i], image[i + 1]):
+                return False, walk
+        if not all(pair_ok(x0, walk[0], y0, image[0]) for x0, y0 in firsts):
+            return False, walk
+        if not all(pair_ok(walk[-1], xk, image[-1], yk) for xk, yk in lasts):
+            return False, walk
+    return True, None
+
+
+class Corrupted:
+    """A bijection whose images are overridden on a few walks, in both the
+    scalar and the vectorized map."""
+
+    def __init__(self, bij, override):
+        self.bij, self.override = bij, override
+
+    def __getattr__(self, name):
+        return getattr(self.bij, name)
+
+    def map_tuple(self, walk):
+        return self.override.get(tuple(walk), self.bij.map_tuple(walk))
+
+    def map_tuples(self, walks):
+        image, pair_edges = self.bij.map_tuples(walks)
+        for walk, target in self.override.items():
+            image[(walks == walk).all(axis=1)] = target
+        return image, pair_edges
+
+
+def wall_bijections(graphs, k):
+    """(label, bijection, pebbles) for every column of both wall scenarios
+    that exists on the grid."""
+    b, t, gp, gt = graphs
+    grid = (b.n - 1) // 2
+    out = []
+    # wall-nonadjacent also pebbles column + 1
+    for maker, columns in ((wall_adjacent_scenario, grid),
+                           (wall_nonadjacent_scenario, grid - 1)):
+        for col in range(columns):
+            try:
+                scen = maker(b, t, col, k)
+            except NoScenarioError:
+                continue
+            bij = duplicator_bijection(gp, gt, scen.pebbles, scen.v,
+                                       scen.e1, scen.e2)
+            out.append((f"{maker.__name__}[{col}]", bij, scen.pebbles))
+    return out
+
+
+def swap_phi(bij, rng):
+    """The bijection with two seeded entries of phi swapped."""
+    a, c = rng.choice(len(bij.phi), size=2, replace=False)
+    phi = bij.phi.copy()
+    phi[[a, c]] = phi[[c, a]]
+    return dataclasses.replace(bij, phi=phi)
+
+
+def assert_matches_reference(graphs, k, seed):
+    """``verify_round_safe`` agrees with the reference on every wall
+    scenario, as built and with two seeded phi entries swapped."""
+    _, _, gp, gt = graphs
+    rng = np.random.default_rng(seed)
+    for label, bij, pebbles in wall_bijections(graphs, k):
+        for cand in (bij, swap_phi(bij, rng), swap_phi(bij, rng)):
+            got = verify_round_safe(cand, gp, gt, pebbles,
+                                    return_counterexample=True)
+            assert got == reference_round_safe(cand, gp, gt, pebbles), label
+
+
+DIFF_CASES = [(grid, k) for grid in (3, 4, 5) for k in (2, 3, 4)]
+
+
 @pytest.fixture(scope="module")
-def g4():
-    b = grid_base(4)
-    t = default_twist(b)
-    return b, t, build_cfi(b), build_cfi(b, t)
+def grids():
+    out = {}
+    for grid in (3, 4, 5):
+        b = grid_base(grid)
+        t = default_twist(b)
+        out[grid] = b, t, build_cfi(b), build_cfi(b, t)
+    return out
+
+
+@pytest.fixture(scope="module")
+def g4(grids):
+    return grids[4]
 
 
 class TestComponents:
@@ -110,6 +213,26 @@ class TestDuplicatorBijection:
             images.add(bij.map_tuple(walk))
         assert len(images) == gp.n ** 3
 
+    @pytest.mark.parametrize("grid,k", DIFF_CASES)
+    def test_map_tuples_matches_scalar(self, grids, grid, k):
+        _, _, gp, _ = grids[grid]
+        walks = np.array(list(itertools.product(range(gp.n), repeat=k - 1)))
+        for label, bij, _ in wall_bijections(grids[grid], k):
+            order = gp.base.incident[bij.v]
+            images, edge_ids = bij.map_tuples(walks)
+            for walk, image, ids in zip(walks.tolist(), images.tolist(),
+                                        edge_ids.tolist()):
+                want_image, want_edges = bij.map_tuple_with_edges(walk)
+                assert tuple(image) == want_image, (label, walk)
+                assert [order[i] for i in ids] == want_edges, (label, walk)
+
+    def test_map_tuples_rejects_wrong_width(self, g4):
+        b, t, gp, gt = g4
+        scen = wall_adjacent_scenario(b, t, 2, k=4)
+        bij = duplicator_bijection(gp, gt, scen.pebbles, scen.v, scen.e1, scen.e2)
+        with pytest.raises(ValueError):
+            bij.map_tuples(np.zeros((2, 2), dtype=np.int64))
+
     def test_precondition_errors(self, g4):
         b, t, gp, gt = g4
         pebbles = PebblePlacement(2, 6, 4)
@@ -134,6 +257,18 @@ class TestRoundSafety:
         bij = duplicator_bijection(gp, gt, scen.pebbles, scen.v, scen.e1, scen.e2)
         assert verify_round_safe(bij, gp, gt, scen.pebbles)
 
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_opening_scenario_grid3(self, grids, k):
+        # column 1 of grid 3 has no wall-adjacent scenario; column 2 does
+        b, t, gp, gt = grids[3]
+        with pytest.raises(NoScenarioError):
+            wall_adjacent_scenario(b, t, 1, k)
+        scen = opening_scenario(b, t, k)
+        assert (scen.pebbles.u1, scen.pebbles.u2) == (2, 5)
+        bij = duplicator_bijection(gp, gt, scen.pebbles, scen.v, scen.e1, scen.e2)
+        assert verify_round_safe(bij, gp, gt, scen.pebbles)
+        assert verify_component_bound(bij, scen.ell)
+
     def test_opening_scenario_safe(self, g4):
         b, t, gp, gt = g4
         scen = opening_scenario(b, t, 3)
@@ -151,17 +286,44 @@ class TestRoundSafety:
         scen = wall_adjacent_scenario(b, t, 2, 3)
         bij = duplicator_bijection(gp, gt, scen.pebbles, scen.v, scen.e1, scen.e2)
         a, c = (0, 0), (1, 2)
-        swapped = {a: bij.map_tuple(c), c: bij.map_tuple(a)}
-        original = bij.map_tuple
+        corrupted = Corrupted(bij, {a: bij.map_tuple(c), c: bij.map_tuple(a)})
+        assert not verify_round_safe(corrupted, gp, gt, scen.pebbles)
+        got = verify_round_safe(corrupted, gp, gt, scen.pebbles,
+                                return_counterexample=True)
+        assert got == reference_round_safe(corrupted, gp, gt, scen.pebbles)
 
-        class Corrupted:
-            def __getattr__(self, name):
-                return getattr(bij, name)
+    @pytest.mark.parametrize("grid,k", DIFF_CASES)
+    def test_matches_reference(self, grids, grid, k):
+        assert_matches_reference(grids[grid], k, seed=grid * 10 + k)
 
-            def map_tuple(self, walk):
-                return swapped.get(walk, original(walk))
+    @pytest.mark.parametrize("grid,k", [(3, 3), (4, 3), (4, 4)])
+    def test_matches_reference_in_small_chunks(self, grids, grid, k,
+                                               monkeypatch):
+        # five rows per chunk: repeats and counterexamples in later chunks
+        monkeypatch.setattr(game, "CHUNK_ENTRIES", 5 * (k + 1))
+        assert_matches_reference(grids[grid], k, seed=grid * 10 + k)
 
-        assert not verify_round_safe(Corrupted(), gp, gt, scen.pebbles)
+    @pytest.mark.parametrize("chunk_rows", [1, 4, None])
+    def test_repeated_image_detected(self, g4, chunk_rows, monkeypatch):
+        # at k = 2, two vertices outside both anchor gadgets and adjacent to
+        # neither look alike to every pair check, so giving the later one
+        # the image of the earlier one fails injectivity and nothing else
+        b, t, gp, gt = g4
+        if chunk_rows is not None:
+            monkeypatch.setattr(game, "CHUNK_ENTRIES", chunk_rows * 3)
+        scen = wall_adjacent_scenario(b, t, 2, 2)
+        bij = duplicator_bijection(gp, gt, scen.pebbles, scen.v, scen.e1, scen.e2)
+        anchors = [*gp.gadget(scen.pebbles.u1), *gp.gadget(scen.pebbles.u2)]
+        adj = gp.graph.adjacency()
+        far = [x for x in range(gp.n)
+               if x not in anchors and not adj[x, anchors].any()]
+        early, late = far[0], far[-1]
+        assert late - early > 4  # in different chunks of 1 and of 4 rows
+        corrupted = Corrupted(bij, {(late,): bij.map_tuple((early,))})
+        got = verify_round_safe(corrupted, gp, gt, scen.pebbles,
+                                return_counterexample=True)
+        assert got == (False, (late,))
+        assert got == reference_round_safe(corrupted, gp, gt, scen.pebbles)
 
     def test_budget_guard(self, g4):
         b, t, gp, gt = g4
@@ -169,6 +331,17 @@ class TestRoundSafety:
         bij = duplicator_bijection(gp, gt, scen.pebbles, scen.v, scen.e1, scen.e2)
         with pytest.raises(ValueError):
             verify_round_safe(bij, gp, gt, scen.pebbles, budget=10**4)
+
+    @pytest.mark.parametrize("maker,col", [
+        (wall_adjacent_scenario, 2),
+        (wall_nonadjacent_scenario, 1),
+    ])
+    def test_wall_scenarios_safe_k5(self, g4, maker, col):
+        # 27^4 = 531441 tuples: many chunks of the vectorized check
+        b, t, gp, gt = g4
+        scen = maker(b, t, col, 5)
+        bij = duplicator_bijection(gp, gt, scen.pebbles, scen.v, scen.e1, scen.e2)
+        assert verify_round_safe(bij, gp, gt, scen.pebbles)
 
     def test_grid5_both_shapes_safe(self):
         b = grid_base(5)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from walkref.algebra import (
 )
 from walkref.cfi import build_cfi, default_twist, grid_base
 from walkref.graph_core import (
+    BudgetExceeded,
     PairPartition,
     PartitionOrder,
     SimpleGraph,
@@ -285,3 +288,23 @@ class TestNaiveBudget:
         ws = Workspace.from_graphs(random_graph(10, 1))
         with pytest.raises(ValueError):
             naive_k_walk_step(ws, 8)
+
+
+class TestWlBudget:
+    def test_large_graph_refused_before_allocating(self):
+        # 600^3 entries exceed WL_ENTRY_BUDGET; the signature array alone
+        # would take 1.6 GiB
+        ws = Workspace.from_graphs(cycle(600))
+        before = ws.colorings[0].color.copy()
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded, match="WL step on 600"):
+                wl_step(ws)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert np.array_equal(ws.colorings[0].color, before)
+
+    def test_largest_allowed_size(self):
+        assert 256**3 <= refinement.WL_ENTRY_BUDGET < 257**3
