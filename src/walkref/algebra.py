@@ -16,14 +16,14 @@ scale.  Two closures use the engine:
   draw can change the speed but never the answer (two generic elements
   generate a semisimple algebra, as this one is, being closed under
   transpose), and
-* a seeded randomized hasher (``sampled_span_profile``) of the
+* a seeded randomized sampler (``sampled_span_profile``) of the
   coordinate partition of the products, which can only err by merging
-  coordinates, with the Schwartz-Zippel bound stated there.
+  coordinates, with its Schwartz-Zippel bound stated there.
 
 Both end in a coordinate partition, grouped exactly by
 ``graph_core.group_rows``: the columns of the basis rows
-(``partition_from_span``) and the per-coordinate signature rows of the
-hasher, which it also counts at every length.
+(``partition_from_span``), and the input colors split by the sampler's
+values wherever a length separates two members of a class.
 
 Primes default to ~2^22 so that every inner product fits exactly in float64
 BLAS with 512-row chunking (p^2 * 512 < 2^53).
@@ -31,7 +31,7 @@ BLAS with 512-row chunking (p^2 * 512 < 2^53).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -43,9 +43,6 @@ PRIME_2 = 4194287
 _CHUNK = 512  # inner dimension per exact float64 accumulation
 _BATCH_ROWS = 128  # products per insert_batch call in grow_products,
 _BATCH_ENTRIES = 2**17  # and at most this many entries (1 MiB of float64)
-
-_HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
-_HASH_OFFS = np.uint64(0x2545F4914F6CDD1D)
 
 
 class AlgebraCrossCheckError(RuntimeError):
@@ -220,22 +217,6 @@ class MatrixSpanBasis:
 # color adjacency matrices
 
 
-@dataclass
-class ColorMatrices:
-    """0/1 adjacency matrix per color present in a coloring, by color id.
-
-    For a joint pair of graphs the matrices are block diagonal with zero
-    off-diagonal blocks, and the partition-of-unity invariant holds within
-    each diagonal block.
-    """
-
-    n: int
-    mats: list = field(repr=False)
-
-    def __iter__(self):
-        return iter(self.mats)
-
-
 def block_color_table(colorings) -> np.ndarray:
     """Block-diagonal color table; off-block entries are -1 (no color)."""
     n_tot = sum(c.n for c in colorings)
@@ -247,19 +228,25 @@ def block_color_table(colorings) -> np.ndarray:
     return table
 
 
-def color_matrices(colorings) -> ColorMatrices:
-    """Color adjacency matrices of one coloring or a joint pair."""
+def color_matrices(colorings) -> np.ndarray:
+    """0/1 adjacency matrix per color of one coloring or a joint pair, by
+    color id: a (colors, n, n) int64 stack.
+
+    For a joint pair the matrices are block diagonal with zero off-diagonal
+    blocks, and the partition-of-unity invariant holds within each diagonal
+    block.
+    """
     if not isinstance(colorings, (list, tuple)):
         colorings = [colorings]
     table = block_color_table(colorings)
-    colors = sorted(set(table.ravel().tolist()) - {-1})
-    mats = [(table == c).astype(np.int64) for c in colors]
-    return ColorMatrices(table.shape[0], mats)
+    colors = np.array(sorted(set(table.ravel().tolist()) - {-1}), dtype=np.int64)
+    return (table == colors[:, None, None]).astype(np.int64)
 
 
-def grow_products(basis: MatrixSpanBasis, generators: ColorMatrices,
+def grow_products(basis: MatrixSpanBasis, generators: np.ndarray,
                   max_length: int | None = None):
-    """Grow an empty basis into the span of products of the generators.
+    """Grow an empty basis into the span of products of the generators, a
+    (c, n, n) stack such as ``color_matrices`` returns.
 
     With a ``max_length`` the basis spans all products of at most that
     many generators, closed by multiplying with every generator.  With
@@ -280,7 +267,7 @@ def grow_products(basis: MatrixSpanBasis, generators: ColorMatrices,
     if basis.rank:
         # the full-rank stop needs every basis row on the generators' support
         raise ValueError("grow_products starts from an empty basis")
-    gens = np.stack(generators.mats)
+    gens = np.asarray(generators)
     full = int(np.count_nonzero(gens.any(axis=0)))
     prime = isinstance(basis.domain, PrimeField)
     gens = gens.astype(np.float64 if prime else object)
@@ -292,7 +279,7 @@ def grow_products(basis: MatrixSpanBasis, generators: ColorMatrices,
         added = basis.insert_batch(gens.reshape(len(gens), -1))
         if basis.rank == full or not added.any():
             return basis, None
-        basis = MatrixSpanBasis(generators.n, basis.domain)
+        basis = MatrixSpanBasis(gens.shape[1], basis.domain)
     stabilized_at = _close(basis, gens, gens, full, max_length)
     return basis, None if max_length is None else stabilized_at
 
@@ -375,6 +362,7 @@ def partition_from_span(basis: MatrixSpanBasis, coords=None) -> np.ndarray:
 # randomized sampled closure
 
 _SAMPLED_CHAINS = 3  # random product chains per prime
+_STOP_WINDOW = 24  # lengths without a split that end a run with no max_length
 
 
 @dataclass
@@ -390,29 +378,30 @@ def sampled_span_profile(
     color_table: np.ndarray,
     *,
     coords: np.ndarray,
-    max_length: int,
     seed: int,
+    max_length: int | None = None,
     primes=(PRIME_1, PRIME_2),
-    stop_window: int | None = None,
 ) -> SpanProfile:
-    """Hash the coordinate partition of the products of the color matrices.
+    """Sample the coordinate partition of the products of the color matrices.
 
     ``color_table`` is the (possibly block-diagonal joint) table with -1 for
     coordinates outside the universe; ``coords`` are the flat indices whose
     partition is wanted.  Each length multiplies every running chain by a
     fresh random linear combination of the generators, so chain entries are
-    random linear functionals of the exact-length walk counts, and each
-    length's samples are hashed into per-coordinate signatures.
+    random linear functionals of the exact-length walk counts.  One label
+    array starts as the input colors; at each length every coordinate's
+    samples are compared with those of its class's first member, and only
+    when some class splits are the labels regrouped with the samples.
 
     The partition is one-sided.  Coordinates with equal walk counts always
-    get equal signatures, so it can only merge classes, never split one.
-    A chain entry at length l is a polynomial of degree l in the random
+    get equal samples, so it can only merge classes, never split one.  A
+    chain entry at length l is a polynomial of degree l in the random
     coefficients, so by Schwartz-Zippel two coordinates whose length-l walk
     counts differ mod p get equal samples at that length with probability
-    at most (l / p)^3 per prime, independently across primes, plus the
-    chance of a 64-bit hash collision.  ``stop_window`` ends the run after
-    that many consecutive lengths left the class count unchanged, a
-    heuristic with no such bound; None runs all ``max_length`` lengths.
+    at most (l / p)^3 per prime, independently across primes.  That bound
+    covers a run of ``max_length`` lengths.  With ``max_length=None`` the
+    run ends ``_STOP_WINDOW`` lengths after the last split, or after n_tot^2
+    lengths, a heuristic with no such bound.
     """
     table = np.asarray(color_table, dtype=np.int64)
     n_tot = table.shape[0]
@@ -424,9 +413,6 @@ def sampled_span_profile(
     local = np.full_like(table, num_colors)
     local[mask] = np.searchsorted(uniq, table[mask])
     coef = np.zeros((_SAMPLED_CHAINS, num_colors + 1))
-
-    flat_coords = np.asarray(coords, dtype=np.int64)
-    hashes = [np.full(flat_coords.size, _HASH_OFFS, dtype=np.uint64) for _ in primes]
     rngs = [np.random.default_rng((seed, p)) for p in primes]
 
     def fresh_factors(i: int) -> np.ndarray:
@@ -436,38 +422,28 @@ def sampled_span_profile(
         return np.take(coef, local, axis=1)
 
     chains = [fresh_factors(i) for i in range(len(primes))]
-
-    stable_for = 0
+    flat_coords = np.asarray(coords, dtype=np.int64)
+    labels = group_rows(table.ravel()[flat_coords, None])
+    first = np.unique(labels, return_index=True)[1]
+    windowed = max_length is None
+    if windowed:
+        max_length = n_tot * n_tot
     stabilized_length = 1
     length = 0
-    prev_count = -1
     while length < max_length:
         length += 1
-        for i, p in enumerate(primes):
-            if length > 1:
-                chains[i] = _matmul_mod(chains[i], fresh_factors(i), p)
-            samples = chains[i].reshape(_SAMPLED_CHAINS, n_tot * n_tot)
-            picked = samples[:, flat_coords].astype(np.uint64)
-            for row in picked:
-                hashes[i] = hashes[i] * _HASH_MULT + row
-        count = int(group_rows(np.stack(hashes, axis=1)).max()) + 1
-        # signature partition can only refine over time; track class count
-        changed = count != prev_count
-        prev_count = count
-        if changed:
-            stable_for = 0
+        if length > 1:
+            chains = [_matmul_mod(chain, fresh_factors(i), p)
+                      for i, (chain, p) in enumerate(zip(chains, primes))]
+        samples = np.concatenate([chain.reshape(_SAMPLED_CHAINS, -1)[:, flat_coords]
+                                  for chain in chains])
+        if (samples != samples[:, first[labels]]).any():
+            samples = samples.T.astype(np.int64)
+            labels = group_rows(np.column_stack([labels, samples]))
+            first = np.unique(labels, return_index=True)[1]
             stabilized_length = length
-        else:
-            stable_for += 1
-            if stop_window is not None and stable_for >= stop_window:
-                break
-
-    # combine input colors with the hash signatures so the result is a
-    # structural refinement of the input partition, not merely whp
-    sig = np.stack(
-        [table.ravel()[flat_coords].astype(np.uint64)] + hashes, axis=1
-    )
-    labels = group_rows(sig)
+        elif windowed and length - stabilized_length >= _STOP_WINDOW:
+            break
     return SpanProfile(
         labels=labels,
         stabilized_length=stabilized_length,
@@ -481,7 +457,6 @@ __all__ = [
     "PrimeField",
     "RationalDomain",
     "MatrixSpanBasis",
-    "ColorMatrices",
     "SpanProfile",
     "AlgebraCrossCheckError",
     "color_matrices",

@@ -58,7 +58,7 @@ def _load_graph(path: str):
     try:
         with open(path) as fh:
             return load_graph_json(fh.read())
-    except (OSError, ValueError, RecursionError) as exc:
+    except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read graph {path!r}: {exc}") from exc
 
 

@@ -84,7 +84,10 @@ def load_graph_json(text_or_dict) -> SimpleGraph:
     """
     obj = text_or_dict
     if isinstance(obj, (str, bytes)):
-        obj = json.loads(obj)
+        try:
+            obj = json.loads(obj)
+        except RecursionError:
+            raise ValueError("graph JSON is nested too deeply") from None
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ValueError("graph JSON must be an object with 'n' and 'edges'")
     n, edges = obj["n"], obj["edges"]
@@ -239,7 +242,7 @@ def _by_first_occurrence(first_idx: np.ndarray, inverse: np.ndarray) -> np.ndarr
     return order[inverse].astype(np.int64)
 
 
-_GROUP_CHECK_ENTRIES = 2**17  # entries compared per chunk of the row check
+_GROUP_CHECK_ENTRIES = 2**15  # entries hashed, then compared, per chunk
 
 
 def _row_multipliers(width: int) -> np.ndarray:
@@ -253,10 +256,12 @@ def group_rows(a: np.ndarray) -> np.ndarray:
     array.
 
     Rows get equal labels iff they are equal.  Each row is hashed to one
-    uint64 (a wrapping dot product with fixed odd multipliers), the
-    hashes are grouped by one 1-D sort, and every row is then compared
-    with the first row of its group, ``_GROUP_CHECK_ENTRIES`` entries at a
-    time.  A hash collision fails that check, and the rows are then
+    uint64: every entry's high half is folded into its low half, so rows
+    that differ only in high bits still hash apart, and a wrapping dot
+    product with fixed odd multipliers follows.  The hashes are grouped by
+    one 1-D sort, and every row is then compared with the first row of its
+    group.  Hashing and check both take ``_GROUP_CHECK_ENTRIES`` entries at
+    a time.  A hash collision fails the check, and the rows are then
     grouped by ``np.lexsort`` instead, so the labels are always exact.
     Any layout works, so the columns of ``b`` are grouped by
     ``group_rows(b.T)`` without a transposed copy.
@@ -265,11 +270,17 @@ def group_rows(a: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or a.dtype not in (np.int64, np.uint64):
         raise ValueError("group_rows takes a 2-D int64 or uint64 array")
     rows, width = a.shape
-    hashes = a.view(np.uint64) @ _row_multipliers(width)
+    step = max(1, _GROUP_CHECK_ENTRIES // max(width, 1))
+    mult = _row_multipliers(width)
+    hashes = np.empty(rows, dtype=np.uint64)
+    for s in range(0, rows, step):
+        u = a[s : s + step].view(np.uint64)
+        mixed = u >> np.uint64(32)
+        mixed ^= u
+        hashes[s : s + step] = mixed @ mult
     _, first_idx, inverse = np.unique(hashes, return_index=True,
                                       return_inverse=True)
     rep = first_idx[inverse]
-    step = max(1, _GROUP_CHECK_ENTRIES // max(width, 1))
     if not all(np.array_equal(a[s : s + step], a[rep[s : s + step]])
                for s in range(0, rows, step)):
         first_idx, inverse = _lexsort_groups(a)

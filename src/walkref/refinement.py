@@ -5,7 +5,7 @@ graphs sharing one class-id counter, so that class ids stay comparable
 across the joint universe.  The k-walk partition of a coloring equals the
 coordinate-equality partition of the span of products of its color
 adjacency matrices with at most k factors (stationary walks on loop colors
-embed every shorter length); the k-walk step hashes it from random
+embed every shorter length); the k-walk step samples it from random
 products, and the walk refinement, its k -> infinity limit, closes the
 span completely.
 """
@@ -286,16 +286,17 @@ def _span_labels(ws, k, *, seed, want_dim=False, arith="prime2"):
     step                   <= 40 vertices         > 40 vertices
     =====================  =====================  =========================
     any, ``want_dim``      whole-algebra closure  whole-algebra closure
-    walk                   whole-algebra closure  sampler, 24-length window
+    walk                   whole-algebra closure  sampler, windowed
     k-walk                 sampler, k lengths     sampler, k lengths
     =====================  =====================  =========================
 
     A k-walk step runs all k lengths, so its only error is the one-sided
     Schwartz-Zippel bound of ``sampled_span_profile``.  A walk step has no
-    length to run to: the sampler stops it on a heuristic window, which
-    the slower exact closure replaces up to 40 vertices.  Rational
-    arithmetic is refused above 40 vertices; its k-walk steps sample over
-    both primes, as under ``prime2``, which also checks ranks on both.
+    length to run to: the sampler stops it on its heuristic window
+    (``algebra._STOP_WINDOW``), which the slower exact closure replaces up
+    to 40 vertices.  Rational arithmetic is refused above 40 vertices; its
+    k-walk steps sample over both primes, as under ``prime2``, which also
+    checks ranks on both.
     """
     n_tot = ws.total_vertices
     check_arith(arith, n_tot)
@@ -303,10 +304,10 @@ def _span_labels(ws, k, *, seed, want_dim=False, arith="prime2"):
     if k is None and (want_dim or n_tot <= EXACT_METHOD_MAX_VERTICES):
         domain = RationalDomain() if arith == "rational" else PrimeField(PRIME_1)
         gens = color_matrices(ws.colorings)
-        basis, _ = grow_products(MatrixSpanBasis(gens.n, domain), gens)
+        basis, _ = grow_products(MatrixSpanBasis(n_tot, domain), gens)
         if want_dim and arith == "prime2":
             check, _ = grow_products(
-                MatrixSpanBasis(gens.n, PrimeField(PRIME_2)), gens
+                MatrixSpanBasis(n_tot, PrimeField(PRIME_2)), gens
             )
             if check.rank != basis.rank:
                 raise AlgebraCrossCheckError(
@@ -317,10 +318,9 @@ def _span_labels(ws, k, *, seed, want_dim=False, arith="prime2"):
     prof = sampled_span_profile(
         block_color_table(ws.colorings),
         coords=coords,
-        max_length=n_tot * n_tot if k is None else k,
+        max_length=k,
         seed=seed,
         primes=(PRIME_1,) if arith == "prime" else (PRIME_1, PRIME_2),
-        stop_window=24 if k is None else None,
     )
     return prof.labels, None
 

@@ -16,8 +16,13 @@ from walkref.algebra import (
     partition_from_span,
     sampled_span_profile,
 )
-from walkref.algebra import _BATCH_ROWS, _CHUNK, _mod_p
-from walkref.graph_core import ColoredCompleteGraph, SimpleGraph, initial_coloring
+from walkref.algebra import _BATCH_ROWS, _CHUNK, _STOP_WINDOW, _mod_p
+from walkref.graph_core import (
+    ColoredCompleteGraph,
+    SimpleGraph,
+    group_rows,
+    initial_coloring,
+)
 
 
 def cycle(n):
@@ -38,7 +43,8 @@ def closure_rank(coloring, domain=None, max_length=None):
     """Rank of the product span of one coloring's matrices; the whole
     algebra unless max_length bounds the product length."""
     gens = color_matrices(coloring)
-    basis, _ = grow_products(MatrixSpanBasis(gens.n, domain), gens, max_length)
+    basis, _ = grow_products(MatrixSpanBasis(gens.shape[1], domain), gens,
+                             max_length)
     return basis.rank
 
 
@@ -141,14 +147,15 @@ class TestColorMatrices:
     def test_partition_of_unity(self):
         c = initial_coloring(cycle(5))
         gens = color_matrices(c)
-        total = sum(gens.mats)
+        assert gens.shape == (3, 5, 5) and gens.dtype == np.int64
+        total = gens.sum(axis=0)
         assert np.array_equal(total, np.ones((5, 5), dtype=np.int64))
 
     def test_joint_block_diagonal(self):
         a, b = initial_coloring(cycle(3)), initial_coloring(cycle(4))
         gens = color_matrices([a, b])
-        assert gens.n == 7
-        total = sum(gens.mats)
+        assert gens.shape[1] == 7
+        total = gens.sum(axis=0)
         assert total[:3, 3:].sum() == 0 and total[3:, :3].sum() == 0
         assert np.array_equal(total[:3, :3], np.ones((3, 3), dtype=np.int64))
         table = block_color_table([a, b])
@@ -157,9 +164,7 @@ class TestColorMatrices:
 
 class TestGrowProducts:
     def test_identity_generator_stabilizes_at_two(self):
-        from walkref.algebra import ColorMatrices
-
-        gens = ColorMatrices(3, [np.eye(3, dtype=np.int64)])
+        gens = np.eye(3, dtype=np.int64)[None]
         basis, stab = grow_products(MatrixSpanBasis(3), gens, max_length=9)
         assert basis.rank == 1 and stab == 2
 
@@ -192,7 +197,7 @@ def reference_closure(gens, domain):
     every length until one adds nothing.  Returns (basis, stall length)."""
     prime = isinstance(domain, PrimeField)
     mats = [np.asarray(m, dtype=np.int64 if prime else object) for m in gens]
-    basis = MatrixSpanBasis(gens.n, domain)
+    basis = MatrixSpanBasis(gens.shape[1], domain)
     frontier = [m for m in mats if basis.insert(m.ravel())]
     length = 1
     while frontier:
@@ -232,11 +237,12 @@ class TestGrowProductsDifferential:
         domain = {"prime1": PrimeField(PRIME_1), "prime2": PrimeField(PRIME_2),
                   "rational": RationalDomain()}[arith]
         gens = color_matrices(cs)
+        n = gens.shape[1]
         ref, stall = reference_closure(gens, domain)
         # smaller batches split a length, and the full-rank stop, across calls
         with mock.patch("walkref.algebra._BATCH_ROWS", batch_rows):
-            basis, stab = grow_products(MatrixSpanBasis(gens.n, domain), gens,
-                                        gens.n ** 2 + 1)
+            basis, stab = grow_products(MatrixSpanBasis(n, domain), gens,
+                                        n ** 2 + 1)
         assert basis.rank == ref.rank and stab == stall
         got, want = basis.row_vectors(), ref.row_vectors()
         if arith == "rational":
@@ -258,7 +264,7 @@ class TestFullRankStop:
 
         monkeypatch.setattr(MatrixSpanBasis, "insert_batch", counted)
         gens = color_matrices(cs)
-        basis, stab = grow_products(MatrixSpanBasis(gens.n), gens, 50)
+        basis, stab = grow_products(MatrixSpanBasis(gens.shape[1]), gens, 50)
         return basis.rank, stab, sum(rows)
 
     def test_discrete_closes_without_products(self, monkeypatch):
@@ -274,10 +280,11 @@ class TestFullAlgebra:
     @given(colorings(), st.sampled_from([PRIME_1, PRIME_2]))
     def test_matches_bounded_closure(self, cs, p):
         gens = color_matrices(cs)
-        full, stab = grow_products(MatrixSpanBasis(gens.n, PrimeField(p)),
+        n = gens.shape[1]
+        full, stab = grow_products(MatrixSpanBasis(n, PrimeField(p)),
                                    gens, None)
-        bounded, _ = grow_products(MatrixSpanBasis(gens.n, PrimeField(p)),
-                                   gens, gens.n ** 2 + 1)
+        bounded, _ = grow_products(MatrixSpanBasis(n, PrimeField(p)),
+                                   gens, n ** 2 + 1)
         ref, _ = reference_closure(gens, PrimeField(p))
         assert stab is None
         assert full.rank == bounded.rank == ref.rank
@@ -292,13 +299,14 @@ class TestFullAlgebra:
         # r1 = r2 = the all-ones matrix of each block spans a closed
         # algebra of rank one per block, which misses the generators
         gens = color_matrices(cs)
+        n = gens.shape[1]
 
         def ones(gen_stack, p):
             return np.stack([gen_stack.sum(axis=0)] * 2)
 
         with mock.patch("walkref.algebra._random_pair", ones):
-            got, _ = grow_products(MatrixSpanBasis(gens.n), gens, None)
-        want, _ = grow_products(MatrixSpanBasis(gens.n), gens, gens.n ** 2)
+            got, _ = grow_products(MatrixSpanBasis(n), gens, None)
+        want, _ = grow_products(MatrixSpanBasis(n), gens, n ** 2)
         assert got.rank == want.rank > len(cs)
         assert np.array_equal(got.row_vectors(), want.row_vectors())
 
@@ -312,7 +320,7 @@ class TestFullAlgebra:
 
         monkeypatch.setattr(MatrixSpanBasis, "insert_batch", counted)
         gens = color_matrices([discrete(3), discrete(2, first_color=9)])
-        basis, stab = grow_products(MatrixSpanBasis(gens.n), gens, None)
+        basis, stab = grow_products(MatrixSpanBasis(gens.shape[1]), gens, None)
         assert (basis.rank, stab, rows) == (13, None, [13])
 
 
@@ -350,12 +358,14 @@ class TestSampledProfile:
         assert np.unique(a * (b.max() + 1) + b).size == np.unique(a).size
 
     def test_deterministic_given_seed(self):
-        c = initial_coloring(cycle(5))
-        kw = dict(coords=np.arange(25), max_length=100, stop_window=8)
+        # windowed: the run ends before its cap of n^2 = 49 lengths
+        c = initial_coloring(cycle(7))
+        kw = dict(coords=np.arange(49))
         p1 = sampled_span_profile(block_color_table([c]), seed=3, **kw)
         p2 = sampled_span_profile(block_color_table([c]), seed=3, **kw)
         assert np.array_equal(p1.labels, p2.labels)
-        assert p1.lengths_used == p2.lengths_used < 100
+        assert p1.stabilized_length == p2.stabilized_length
+        assert p1.lengths_used == p2.lengths_used < 49
 
     def test_refines_input_colors(self):
         c = initial_coloring(cycle(7))
@@ -365,6 +375,33 @@ class TestSampledProfile:
         inp = c.color.ravel()
         combo = prof.labels * (inp.max() + 1) + inp
         assert np.unique(combo).size == np.unique(prof.labels).size
+
+    @settings(deadline=None, max_examples=60)
+    @given(colorings(), st.integers(1, 4), st.integers(0, 3))
+    def test_matches_bounded_closure(self, cs, k, seed):
+        gens = color_matrices(cs)
+        basis, _ = grow_products(MatrixSpanBasis(gens.shape[1]), gens, k)
+        table = block_color_table(cs)
+        coords = np.flatnonzero(table.ravel() >= 0)
+        prof = sampled_span_profile(table, coords=coords, max_length=k,
+                                    seed=seed)
+        assert np.array_equal(prof.labels, partition_from_span(basis, coords))
+        assert prof.lengths_used == k
+
+    @pytest.mark.parametrize("n", [4, 9])  # capped at n^2; ended by the window
+    def test_window_regroups_only_on_splits(self, monkeypatch, n):
+        calls = []
+
+        def counted(a):
+            calls.append(a.shape)
+            return group_rows(a)
+
+        monkeypatch.setattr("walkref.algebra.group_rows", counted)
+        table = block_color_table([initial_coloring(cycle(n))])
+        prof = sampled_span_profile(table, coords=np.arange(n * n), seed=1)
+        assert len(calls) <= 1 + prof.stabilized_length < prof.lengths_used
+        assert prof.lengths_used == min(prof.stabilized_length + _STOP_WINDOW,
+                                        n * n)
 
 
 @settings(deadline=None, max_examples=20)

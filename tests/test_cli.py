@@ -178,6 +178,15 @@ class TestUsageErrors:
         assert main(["refine", "--graph", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: cannot read graph")
 
+    def test_arbitrary_json_graph(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"n": [True, {"edges": 1.5e300}],
+                                    "edges": {"x": [10**40, "0", None]}}))
+        assert main(["refine", "--graph", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read graph")
+        assert "Traceback" not in err
+
     def test_oversized_graph(self, capsys, tmp_path):
         path = tmp_path / "g.json"
         path.write_text(json.dumps({"n": MAX_GRAPH_VERTICES + 1, "edges": []}))

@@ -33,6 +33,17 @@ def random_graph(n, seed):
     return SimpleGraph.from_edges(n, edges)
 
 
+def json_values():
+    """Arbitrary JSON values: nested lists and objects over bools, floats,
+    ints far past 64 bits and strings."""
+    scalars = st.one_of(st.none(), st.booleans(), st.floats(),
+                        st.integers(-(10**40), 10**40), st.text(max_size=8))
+    return st.recursive(scalars, lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.sampled_from(["n", "edges", "x"]), inner,
+                        max_size=3)), max_leaves=12)
+
+
 class TestSimpleGraph:
     def test_rejects_loops_and_duplicates(self):
         with pytest.raises(ValueError):
@@ -68,6 +79,25 @@ class TestSimpleGraph:
             load_graph_json({"n": 0, "edges": []})
         with pytest.raises(ValueError):
             load_graph_json({"n": 3, "edges": [[1, 1]]})
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.one_of(
+        json_values(),
+        st.fixed_dictionaries({"n": json_values(), "edges": json_values()}),
+        st.fixed_dictionaries({"n": st.integers(-2, 6), "edges": st.lists(
+            st.lists(st.one_of(st.integers(-2, 6), json_values()),
+                     max_size=3), max_size=6)}),
+    ))
+    def test_json_fuzz_raises_only_value_error(self, value):
+        try:
+            g = load_graph_json(json.dumps(value))
+        except ValueError:
+            return
+        assert load_graph_json(g.to_json_dict()) == g
+
+    def test_json_deep_nesting_is_value_error(self):
+        with pytest.raises(ValueError):
+            load_graph_json("[" * 100000)
 
 
 class TestInitialColoring:
@@ -223,6 +253,15 @@ class TestGroupRows:
         late = np.vstack([same, same[:1], a[1:2]])
         assert np.array_equal(group_rows(late), [0, 0, 0, 0, 0, 1])
         assert len(calls) == 2
+
+    def test_high_bit_rows_hash_apart(self, monkeypatch):
+        def refused(a):
+            raise AssertionError("hash collision")
+
+        monkeypatch.setattr(graph_core, "_lexsort_groups", refused)
+        top = -(2**63)
+        a = np.array([[0, top, top], [top, top, 0]], dtype=np.int64)
+        assert group_rows(a).tolist() == [0, 1]
 
     @pytest.mark.parametrize("bad", [np.zeros(3, dtype=np.int64),
                                      np.zeros((2, 2)),

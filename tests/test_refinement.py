@@ -106,7 +106,7 @@ class TestStepAgreement:
         """The k-walk sampler against the exact closure bounded at k."""
         ws = Workspace.from_graphs(graphs)
         gens = color_matrices(ws.colorings)
-        basis, _ = grow_products(MatrixSpanBasis(gens.n), gens, k)
+        basis, _ = grow_products(MatrixSpanBasis(gens.shape[1]), gens, k)
         labels = partition_from_span(basis, ws.universe_coords())
         k_walk_step(ws, k, seed=17)
         assert ws.partition() == PairPartition(ws.sizes, labels)
