@@ -18,7 +18,9 @@ scale.  Two closures use the engine:
   transpose), and
 * a seeded randomized sampler (``sampled_span_profile``) of the
   coordinate partition of the products, which can only err by merging
-  coordinates, with its Schwartz-Zippel bound stated there.
+  coordinates, with its Schwartz-Zippel bound stated there.  It keeps one
+  chain per graph, so a length costs sum_i n_i^3 multiply-adds per chain
+  and never draws or compares a coordinate outside the diagonal blocks.
 
 Both end in a coordinate partition, grouped exactly by
 ``graph_core.group_rows``: the columns of the basis rows
@@ -217,17 +219,6 @@ class MatrixSpanBasis:
 # color adjacency matrices
 
 
-def block_color_table(colorings) -> np.ndarray:
-    """Block-diagonal color table; off-block entries are -1 (no color)."""
-    n_tot = sum(c.n for c in colorings)
-    table = np.full((n_tot, n_tot), -1, dtype=np.int64)
-    off = 0
-    for c in colorings:
-        table[off : off + c.n, off : off + c.n] = c.color
-        off += c.n
-    return table
-
-
 def color_matrices(colorings) -> np.ndarray:
     """0/1 adjacency matrix per color of one coloring or a joint pair, by
     color id: a (colors, n, n) int64 stack.
@@ -238,7 +229,13 @@ def color_matrices(colorings) -> np.ndarray:
     """
     if not isinstance(colorings, (list, tuple)):
         colorings = [colorings]
-    table = block_color_table(colorings)
+    n_tot = sum(c.n for c in colorings)
+    # the joint color table; -1 marks the off-diagonal blocks
+    table = np.full((n_tot, n_tot), -1, dtype=np.int64)
+    off = 0
+    for c in colorings:
+        table[off : off + c.n, off : off + c.n] = c.color
+        off += c.n
     colors = np.array(sorted(set(table.ravel().tolist()) - {-1}), dtype=np.int64)
     return (table == colors[:, None, None]).astype(np.int64)
 
@@ -375,23 +372,27 @@ class SpanProfile:
 
 
 def sampled_span_profile(
-    color_table: np.ndarray,
+    color_tables,
     *,
-    coords: np.ndarray,
     seed: int,
     max_length: int | None = None,
     primes=(PRIME_1, PRIME_2),
 ) -> SpanProfile:
     """Sample the coordinate partition of the products of the color matrices.
 
-    ``color_table`` is the (possibly block-diagonal joint) table with -1 for
-    coordinates outside the universe; ``coords`` are the flat indices whose
-    partition is wanted.  Each length multiplies every running chain by a
-    fresh random linear combination of the generators, so chain entries are
-    random linear functionals of the exact-length walk counts.  One label
-    array starts as the input colors; at each length every coordinate's
-    samples are compared with those of its class's first member, and only
-    when some class splits are the labels regrouped with the samples.
+    ``color_tables`` holds one (n_i, n_i) color table per graph: one for a
+    single coloring, two for a joint pair, whose color matrices are block
+    diagonal.  The labels run over the blocks' row-major coordinates,
+    concatenated in table order (``Workspace.universe_coords`` order).
+    Each length multiplies every running chain by a fresh random linear
+    combination of the generators, so chain entries are random linear
+    functionals of the exact-length walk counts.  One coefficient per color
+    is drawn over the union of the blocks' colors, and each block keeps its
+    own chain, so a length costs sum_i n_i^3 multiply-adds per chain and
+    touches no coordinate outside the blocks.  One label array starts as
+    the input colors; at each length every coordinate's samples are
+    compared with those of its class's first member, and only when some
+    class splits are the labels regrouped with the samples.
 
     The partition is one-sided.  Coordinates with equal walk counts always
     get equal samples, so it can only merge classes, never split one.  A
@@ -401,46 +402,43 @@ def sampled_span_profile(
     at most (l / p)^3 per prime, independently across primes.  That bound
     covers a run of ``max_length`` lengths.  With ``max_length=None`` the
     run ends ``_STOP_WINDOW`` lengths after the last split, or after n_tot^2
-    lengths, a heuristic with no such bound.
+    lengths (n_tot = sum_i n_i), a heuristic with no such bound.
     """
-    table = np.asarray(color_table, dtype=np.int64)
-    n_tot = table.shape[0]
-    mask = table >= 0
-    uniq = np.unique(table[mask])
-    num_colors = uniq.size
-    # local color index per coordinate; off-universe coordinates read the
-    # zero column that ends each coefficient table
-    local = np.full_like(table, num_colors)
-    local[mask] = np.searchsorted(uniq, table[mask])
-    coef = np.zeros((_SAMPLED_CHAINS, num_colors + 1))
+    tables = [np.asarray(t, dtype=np.int64) for t in color_tables]
+    colors = np.concatenate([t.ravel() for t in tables])
+    uniq = np.unique(colors)
+    # local color index per coordinate, into one table over all blocks
+    local = [np.searchsorted(uniq, t) for t in tables]
     rngs = [np.random.default_rng((seed, p)) for p in primes]
 
-    def fresh_factors(i: int) -> np.ndarray:
-        """Stack of random generator combinations, shape (chains, n, n)."""
-        coef[:, :num_colors] = rngs[i].integers(
-            1, primes[i], size=(_SAMPLED_CHAINS, num_colors))
-        return np.take(coef, local, axis=1)
+    def fresh_factors(i: int) -> list:
+        """Random generator combinations per block, each (chains, n_i, n_i)."""
+        coef = rngs[i].integers(1, primes[i], size=(_SAMPLED_CHAINS, uniq.size))
+        coef = coef.astype(np.float64)
+        return [np.take(coef, idx, axis=1) for idx in local]
 
     chains = [fresh_factors(i) for i in range(len(primes))]
-    flat_coords = np.asarray(coords, dtype=np.int64)
-    labels = group_rows(table.ravel()[flat_coords, None])
-    first = np.unique(labels, return_index=True)[1]
+    labels = group_rows(colors[:, None])
+    # each coordinate's class representative: the class's first member
+    rep = np.unique(labels, return_index=True)[1][labels]
     windowed = max_length is None
     if windowed:
-        max_length = n_tot * n_tot
+        max_length = sum(t.shape[0] for t in tables) ** 2
     stabilized_length = 1
     length = 0
     while length < max_length:
         length += 1
         if length > 1:
-            chains = [_matmul_mod(chain, fresh_factors(i), p)
-                      for i, (chain, p) in enumerate(zip(chains, primes))]
-        samples = np.concatenate([chain.reshape(_SAMPLED_CHAINS, -1)[:, flat_coords]
-                                  for chain in chains])
-        if (samples != samples[:, first[labels]]).any():
+            chains = [[_matmul_mod(chain, factor, p)
+                       for chain, factor in zip(blocks, fresh_factors(i))]
+                      for i, (blocks, p) in enumerate(zip(chains, primes))]
+        samples = np.vstack([
+            np.hstack([c.reshape(_SAMPLED_CHAINS, -1) for c in blocks])
+            for blocks in chains])
+        if (samples != samples[:, rep]).any():
             samples = samples.T.astype(np.int64)
             labels = group_rows(np.column_stack([labels, samples]))
-            first = np.unique(labels, return_index=True)[1]
+            rep = np.unique(labels, return_index=True)[1][labels]
             stabilized_length = length
         elif windowed and length - stabilized_length >= _STOP_WINDOW:
             break
@@ -460,7 +458,6 @@ __all__ = [
     "SpanProfile",
     "AlgebraCrossCheckError",
     "color_matrices",
-    "block_color_table",
     "grow_products",
     "partition_from_span",
     "sampled_span_profile",

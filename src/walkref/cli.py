@@ -66,6 +66,12 @@ def int_list(text: str) -> tuple:
     return tuple(int(x) for x in text.split(","))
 
 
+def _max_iters(args):
+    if args.max_iters is not None and args.max_iters < 0:
+        raise UsageError(f"--max-iters {args.max_iters} is negative")
+    return args.max_iters
+
+
 def _kind_from_args(args) -> RefinementKind:
     if args.kind == "kwalk":
         if args.k is None:
@@ -118,11 +124,12 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_refine(args) -> int:
+    max_iters = _max_iters(args)
     g = _load_graph(args.graph)
     hist = stabilize(
         Workspace.from_graphs(g),
         _kind_from_args(args),
-        max_iterations=args.max_iters,
+        max_iterations=max_iters,
         seed=args.seed,
         arith=args.arith,
     )
@@ -131,10 +138,11 @@ def _cmd_refine(args) -> int:
 
 
 def _cmd_distinguish(args) -> int:
+    max_iters = _max_iters(args)
     g1, g2 = (_load_graph(p) for p in args.graphs)
     kind = _kind_from_args(args)
     result = iterations_to_distinguish(
-        g1, g2, kind, max_iterations=args.max_iters, seed=args.seed,
+        g1, g2, kind, max_iterations=max_iters, seed=args.seed,
         arith=args.arith,
     )
     _emit(args, _json({
@@ -154,6 +162,8 @@ def _cmd_dims(args) -> int:
 
 
 def _cmd_remark(args) -> int:
+    if args.n_min > args.n_max:
+        raise UsageError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
     report = run_remark_disagreement(
         tuple(range(args.n_min, args.n_max + 1)),
         seed=args.seed, arith=args.arith,
@@ -163,6 +173,10 @@ def _cmd_remark(args) -> int:
 
 
 def _cmd_lower_bound(args) -> int:
+    n = args.n_values
+    if any(a >= b for a, b in zip(n, n[1:])):
+        raise UsageError(f"--n-values {','.join(map(str, n))} is not "
+                         "strictly increasing")
     report = run_lower_bound(args.n_values, seed=args.seed, arith=args.arith,
                              include_timing=not args.no_timing)
     return _emit_report(args, report)

@@ -24,7 +24,6 @@ from .algebra import (
     MatrixSpanBasis,
     PrimeField,
     RationalDomain,
-    block_color_table,
     color_matrices,
     grow_products,
     partition_from_span,
@@ -297,10 +296,15 @@ def _span_labels(ws, k, *, seed, want_dim=False, arith="prime2"):
     to 40 vertices.  Rational arithmetic is refused above 40 vertices; its
     k-walk steps sample over both primes, as under ``prime2``, which also
     checks ranks on both.
+
+    Both engines label the universe coordinates in
+    ``Workspace.universe_coords`` order.  The closure reads them from its
+    n_tot-wide basis rows; the sampler takes the per-graph color tables
+    and multiplies one chain per graph, so a joint pair costs it
+    n_1^3 + n_2^3 per chain and length, not (n_1 + n_2)^3.
     """
     n_tot = ws.total_vertices
     check_arith(arith, n_tot)
-    coords = ws.universe_coords()
     if k is None and (want_dim or n_tot <= EXACT_METHOD_MAX_VERTICES):
         domain = RationalDomain() if arith == "rational" else PrimeField(PRIME_1)
         gens = color_matrices(ws.colorings)
@@ -314,10 +318,9 @@ def _span_labels(ws, k, *, seed, want_dim=False, arith="prime2"):
                     f"exact ranks disagree across primes: "
                     f"{basis.rank} vs {check.rank}"
                 )
-        return partition_from_span(basis, coords), basis.rank
+        return partition_from_span(basis, ws.universe_coords()), basis.rank
     prof = sampled_span_profile(
-        block_color_table(ws.colorings),
-        coords=coords,
+        [c.color for c in ws.colorings],
         max_length=k,
         seed=seed,
         primes=(PRIME_1,) if arith == "prime" else (PRIME_1, PRIME_2),

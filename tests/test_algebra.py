@@ -10,19 +10,26 @@ from walkref.algebra import (
     MatrixSpanBasis,
     PrimeField,
     RationalDomain,
-    block_color_table,
     color_matrices,
     grow_products,
     partition_from_span,
     sampled_span_profile,
 )
-from walkref.algebra import _BATCH_ROWS, _CHUNK, _STOP_WINDOW, _mod_p
+from walkref.algebra import (
+    _BATCH_ROWS,
+    _CHUNK,
+    _SAMPLED_CHAINS,
+    _STOP_WINDOW,
+    _matmul_mod,
+    _mod_p,
+)
 from walkref.graph_core import (
     ColoredCompleteGraph,
     SimpleGraph,
     group_rows,
     initial_coloring,
 )
+from walkref.refinement import Workspace
 
 
 def cycle(n):
@@ -158,8 +165,6 @@ class TestColorMatrices:
         total = gens.sum(axis=0)
         assert total[:3, 3:].sum() == 0 and total[3:, :3].sum() == 0
         assert np.array_equal(total[:3, :3], np.ones((3, 3), dtype=np.int64))
-        table = block_color_table([a, b])
-        assert (table[:3, 3:] == -1).all()
 
 
 class TestGrowProducts:
@@ -340,18 +345,17 @@ class TestPartitionFromSpan:
             partition_from_span(MatrixSpanBasis(3))
 
 
+def tables(cs):
+    return [c.color for c in cs]
+
+
 class TestSampledProfile:
     def test_partition_matches_exact(self):
         c = initial_coloring(cycle(6))
         gens = color_matrices(c)
         basis, _ = grow_products(MatrixSpanBasis(6), gens, 36)
         exact_labels = partition_from_span(basis)
-        prof = sampled_span_profile(
-            block_color_table([c]),
-            coords=np.arange(36),
-            max_length=200,
-            seed=5,
-        )
+        prof = sampled_span_profile(tables([c]), max_length=200, seed=5)
         # same partition up to renaming: pairwise-equal iff pairwise-equal
         a, b = exact_labels, prof.labels
         assert np.unique(a).size == np.unique(b).size
@@ -360,18 +364,15 @@ class TestSampledProfile:
     def test_deterministic_given_seed(self):
         # windowed: the run ends before its cap of n^2 = 49 lengths
         c = initial_coloring(cycle(7))
-        kw = dict(coords=np.arange(49))
-        p1 = sampled_span_profile(block_color_table([c]), seed=3, **kw)
-        p2 = sampled_span_profile(block_color_table([c]), seed=3, **kw)
+        p1 = sampled_span_profile(tables([c]), seed=3)
+        p2 = sampled_span_profile(tables([c]), seed=3)
         assert np.array_equal(p1.labels, p2.labels)
         assert p1.stabilized_length == p2.stabilized_length
         assert p1.lengths_used == p2.lengths_used < 49
 
     def test_refines_input_colors(self):
         c = initial_coloring(cycle(7))
-        prof = sampled_span_profile(
-            block_color_table([c]), coords=np.arange(49), max_length=120, seed=9
-        )
+        prof = sampled_span_profile(tables([c]), max_length=120, seed=9)
         inp = c.color.ravel()
         combo = prof.labels * (inp.max() + 1) + inp
         assert np.unique(combo).size == np.unique(prof.labels).size
@@ -381,10 +382,8 @@ class TestSampledProfile:
     def test_matches_bounded_closure(self, cs, k, seed):
         gens = color_matrices(cs)
         basis, _ = grow_products(MatrixSpanBasis(gens.shape[1]), gens, k)
-        table = block_color_table(cs)
-        coords = np.flatnonzero(table.ravel() >= 0)
-        prof = sampled_span_profile(table, coords=coords, max_length=k,
-                                    seed=seed)
+        coords = Workspace(cs).universe_coords()
+        prof = sampled_span_profile(tables(cs), max_length=k, seed=seed)
         assert np.array_equal(prof.labels, partition_from_span(basis, coords))
         assert prof.lengths_used == k
 
@@ -397,11 +396,110 @@ class TestSampledProfile:
             return group_rows(a)
 
         monkeypatch.setattr("walkref.algebra.group_rows", counted)
-        table = block_color_table([initial_coloring(cycle(n))])
-        prof = sampled_span_profile(table, coords=np.arange(n * n), seed=1)
+        prof = sampled_span_profile(tables([initial_coloring(cycle(n))]),
+                                    seed=1)
         assert len(calls) <= 1 + prof.stabilized_length < prof.lengths_used
         assert prof.lengths_used == min(prof.stabilized_length + _STOP_WINDOW,
                                         n * n)
+
+
+def full_width_sampled_span_profile(color_table, *, coords, seed,
+                                    max_length=None,
+                                    primes=(PRIME_1, PRIME_2)):
+    """Reference sampler on one n_tot-wide chain stack per prime.
+
+    ``color_table`` is the block-diagonal joint table with -1 outside the
+    universe, which reads a zero coefficient, and ``coords`` are the flat
+    universe indices.  It draws the same coefficients as
+    ``sampled_span_profile`` and multiplies full n_tot x n_tot products.
+    """
+    table = np.asarray(color_table, dtype=np.int64)
+    n_tot = table.shape[0]
+    mask = table >= 0
+    uniq = np.unique(table[mask])
+    num_colors = uniq.size
+    local = np.full_like(table, num_colors)
+    local[mask] = np.searchsorted(uniq, table[mask])
+    coef = np.zeros((_SAMPLED_CHAINS, num_colors + 1))
+    rngs = [np.random.default_rng((seed, p)) for p in primes]
+
+    def fresh_factors(i):
+        coef[:, :num_colors] = rngs[i].integers(
+            1, primes[i], size=(_SAMPLED_CHAINS, num_colors))
+        return np.take(coef, local, axis=1)
+
+    chains = [fresh_factors(i) for i in range(len(primes))]
+    flat_coords = np.asarray(coords, dtype=np.int64)
+    labels = group_rows(table.ravel()[flat_coords, None])
+    first = np.unique(labels, return_index=True)[1]
+    windowed = max_length is None
+    if windowed:
+        max_length = n_tot * n_tot
+    stabilized_length = 1
+    length = 0
+    while length < max_length:
+        length += 1
+        if length > 1:
+            chains = [_matmul_mod(chain, fresh_factors(i), p)
+                      for i, (chain, p) in enumerate(zip(chains, primes))]
+        samples = np.concatenate([
+            chain.reshape(_SAMPLED_CHAINS, -1)[:, flat_coords]
+            for chain in chains])
+        if (samples != samples[:, first[labels]]).any():
+            samples = samples.T.astype(np.int64)
+            labels = group_rows(np.column_stack([labels, samples]))
+            first = np.unique(labels, return_index=True)[1]
+            stabilized_length = length
+        elif windowed and length - stabilized_length >= _STOP_WINDOW:
+            break
+    return labels, stabilized_length, length
+
+
+def block_color_table(colorings):
+    """Block-diagonal joint color table; off-block entries are -1."""
+    n_tot = sum(c.n for c in colorings)
+    table = np.full((n_tot, n_tot), -1, dtype=np.int64)
+    off = 0
+    for c in colorings:
+        table[off : off + c.n, off : off + c.n] = c.color
+        off += c.n
+    return table
+
+
+@st.composite
+def sampler_inputs(draw):
+    """A single coloring, or a joint pair of equal or of unequal sizes,
+    over a few shared colors."""
+    kind = draw(st.sampled_from(["single", "equal", "unequal"]))
+    n = draw(st.integers(1, 6))
+    if kind == "single":
+        sizes = [n]
+    elif kind == "equal":
+        sizes = [n, n]
+    else:
+        sizes = [n, draw(st.integers(1, 6).filter(lambda m: m != n))]
+    k = draw(st.integers(1, 5))
+    return [ColoredCompleteGraph(m, np.array(draw(st.lists(
+        st.integers(0, k - 1), min_size=m * m, max_size=m * m)),
+        dtype=np.int64).reshape(m, m)) for m in sizes]
+
+
+class TestSampledDifferential:
+    @settings(deadline=None, max_examples=80)
+    @given(sampler_inputs(),
+           st.sampled_from([(PRIME_1,), (PRIME_1, PRIME_2)]),
+           st.one_of(st.integers(1, 4), st.none()),
+           st.integers(0, 2**16))
+    def test_matches_full_width(self, cs, primes, max_length, seed):
+        """Per-block chains against the full-width reference: the same
+        labels, stabilized length and lengths used, bounded or windowed."""
+        prof = sampled_span_profile(tables(cs), seed=seed,
+                                    max_length=max_length, primes=primes)
+        labels, stabilized, used = full_width_sampled_span_profile(
+            block_color_table(cs), coords=Workspace(cs).universe_coords(),
+            seed=seed, max_length=max_length, primes=primes)
+        assert np.array_equal(prof.labels, labels)
+        assert (prof.stabilized_length, prof.lengths_used) == (stabilized, used)
 
 
 @settings(deadline=None, max_examples=20)

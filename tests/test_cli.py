@@ -289,6 +289,46 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert "--n-values" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["refine", "--graph", "{plain}", "--max-iters", "-1"],
+         "error: --max-iters -1 is negative\n"),
+        (["distinguish", "--graphs", "{plain}", "{twisted}",
+          "--max-iters", "-1"],
+         "error: --max-iters -1 is negative\n"),
+        (["remark", "--n-min", "5", "--n-max", "2"],
+         "error: --n-min 5 exceeds --n-max 2\n"),
+        (["lower-bound", "--n-values", "6,4"],
+         "error: --n-values 6,4 is not strictly increasing\n"),
+        (["lower-bound", "--n-values", "4,4"],
+         "error: --n-values 4,4 is not strictly increasing\n"),
+    ], ids=["refine-max-iters", "distinguish-max-iters", "remark-range",
+            "n-values-decreasing", "n-values-repeated"])
+    def test_rejected_before_any_work(self, capsys, monkeypatch, cfi_pair,
+                                      argv, message):
+        import walkref.cli as cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command ran before refusing")
+
+        for name in ("stabilize", "iterations_to_distinguish",
+                     "run_remark_disagreement", "run_lower_bound"):
+            monkeypatch.setattr(cli, name, no_work)
+        plain, twisted = cfi_pair
+        capsys.readouterr()
+        code = main([a.format(plain=plain, twisted=twisted) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == message
+
+    def test_zero_max_iters_is_the_initial_partition(self, capsys, cfi_pair):
+        code, out = run(capsys, "refine", "--graph", str(cfi_pair[0]),
+                        "--kind", "wl", "--max-iters", "0")
+        data = json.loads(out)
+        assert code == 0
+        assert data["iterations"] == 0
+        assert len(data["classes_per_iteration"]) == 1
+
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

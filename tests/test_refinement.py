@@ -19,7 +19,7 @@ from walkref.graph_core import (
     check_invariants,
     compare_partitions,
 )
-from walkref import refinement
+from walkref import algebra, refinement
 from walkref.refinement import (
     RefinementKind,
     Workspace,
@@ -132,6 +132,30 @@ class TestStepAgreement:
         monkeypatch.setattr(refinement, "EXACT_METHOD_MAX_VERTICES", 0)
         walk_step(b, seed=17)
         assert a.partition() == b.partition()
+
+    @pytest.mark.parametrize("grids", [(4, 4), (4, 3)],
+                             ids=["cfi4-pair-54", "cfi4-cfi3-46"])
+    def test_sampler_multiplies_per_graph_blocks(self, monkeypatch, grids):
+        """Above 40 joint vertices every product the sampler forms is
+        n_i x n_i for one graph, never (n_1 + n_2) x (n_1 + n_2)."""
+        bases = [grid_base(g) for g in grids]
+        graphs = [build_cfi(bases[0]).graph,
+                  build_cfi(bases[1], default_twist(bases[1])).graph]
+        sizes = {g.n for g in graphs}
+        shapes = []
+        matmul_mod = algebra._matmul_mod
+
+        def recorded(a, b, p, acc=None):
+            shapes.append((a.shape[-2:], b.shape[-2:]))
+            return matmul_mod(a, b, p, acc)
+
+        monkeypatch.setattr(algebra, "_matmul_mod", recorded)
+        ws = Workspace.from_graphs(graphs)
+        assert ws.total_vertices > refinement.EXACT_METHOD_MAX_VERTICES
+        walk_step(ws)
+        k_walk_step(ws, 3)
+        assert shapes
+        assert all(a == b and a in {(n, n) for n in sizes} for a, b in shapes)
 
     def test_joint_naive_equals_exact(self):
         g1, g2 = cycle(6), two_triangles()
