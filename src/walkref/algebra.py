@@ -1,4 +1,10 @@
-"""Exact linear algebra on vectorized n x n matrices.
+"""Exact linear algebra on vectorized block-diagonal matrices.
+
+A joint pair's color matrices, and so all their products, are zero off
+the two diagonal blocks.  Both engines keep only the blocks: a matrix is
+its blocks' row-major vectorizations side by side, sum_i n_i^2
+coordinates in ``PairPartition`` universe order, and a product costs
+sum_i n_i^3 multiply-adds.
 
 One elimination engine lives here: ``MatrixSpanBasis`` keeps a reduced
 row-echelon basis and takes rows in batches.  Over a prime field its rows
@@ -18,9 +24,7 @@ scale.  Two closures use the engine:
   transpose), and
 * a seeded randomized sampler (``sampled_span_profile``) of the
   coordinate partition of the products, which can only err by merging
-  coordinates, with its Schwartz-Zippel bound stated there.  It keeps one
-  chain per graph, so a length costs sum_i n_i^3 multiply-adds per chain
-  and never draws or compares a coordinate outside the diagonal blocks.
+  coordinates, with its Schwartz-Zippel bound stated there.
 
 Both end in a coordinate partition, grouped exactly by
 ``graph_core.group_rows``: the columns of the basis rows
@@ -74,14 +78,15 @@ class RationalDomain:
         return "RationalDomain()"
 
 
-def _mod_p(v: np.ndarray, p: int) -> np.ndarray:
-    """Exact ``v mod p`` in [0, p) for float64 integers with |v| <= 2^53 - p.
+def _mod_p(v: np.ndarray, p: int, out=None) -> np.ndarray:
+    """Exact ``v mod p`` in [0, p) for float64 integers with |v| <= 2^53 - p,
+    written to ``out`` if given.
 
     ``floor(v / p)`` can be one off where the rounded quotient crosses an
     integer; the bound keeps ``p * floor(v / p)`` exact, and one fixup on
     each side corrects the remainder.  Several times faster than ``np.mod``.
     """
-    q = v / p
+    q = np.divide(v, p, out=out)
     np.floor(q, out=q)
     q *= p
     r = np.subtract(v, q, out=q)
@@ -90,8 +95,10 @@ def _mod_p(v: np.ndarray, p: int) -> np.ndarray:
     return r
 
 
-def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int, acc=None) -> np.ndarray:
-    """Exact ``(acc + a @ b) mod p`` in float64, batched over leading axes.
+def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int, acc=None,
+                out=None) -> np.ndarray:
+    """Exact ``(acc + a @ b) mod p`` in float64, batched over leading axes,
+    written to ``out`` if given.
 
     Entries of ``a`` lie in (-p, p), those of ``b`` in [0, p) and those of
     ``acc`` in [0, p); the inner dimension is taken ``_CHUNK`` at a time, so
@@ -100,7 +107,7 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int, acc=None) -> np.ndarray:
     """
     for start in range(0, a.shape[-1], _CHUNK):
         part = a[..., start : start + _CHUNK] @ b[..., start : start + _CHUNK, :]
-        acc = _mod_p(part if acc is None else acc + part, p)
+        acc = _mod_p(part if acc is None else acc + part, p, out)
     return acc
 
 
@@ -109,20 +116,23 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int, acc=None) -> np.ndarray:
 
 
 class MatrixSpanBasis:
-    """Reduced-echelon basis of vectorized n x n matrices.
+    """Reduced-echelon basis of vectorized block-diagonal matrices.
 
-    Vectorization is row-major; each row's pivot is its first nonzero
-    coordinate, normalized to 1, and every pivot column is zero in every
-    other row.  Rows stay in the order they were kept, so the basis equals
-    the one that inserting the same vectors one at a time would build.
+    ``sizes`` are the block sizes n_i (an int is one block); a row holds
+    the row-major blocks side by side, sum_i n_i^2 coordinates.  Each
+    row's pivot is its first nonzero coordinate, normalized to 1, and every
+    pivot column is zero in every other row.  Rows stay in the order they
+    were kept, so the basis equals the one that inserting the same vectors
+    one at a time would build.
     """
 
-    def __init__(self, n: int, domain=None):
-        self.n = n
+    def __init__(self, sizes, domain=None):
+        self.sizes = tuple(int(n) for n in np.atleast_1d(sizes))
+        self.width = sum(n * n for n in self.sizes)
         self.domain = domain if domain is not None else PrimeField()
         self._prime = isinstance(self.domain, PrimeField)
         if self._prime:
-            self._mat = np.zeros((16, n * n))
+            self._mat = np.zeros((16, self.width))
             self._piv = np.zeros(16, dtype=np.int64)
             self._rank = 0
         else:
@@ -219,31 +229,24 @@ class MatrixSpanBasis:
 # color adjacency matrices
 
 
-def color_matrices(colorings) -> np.ndarray:
-    """0/1 adjacency matrix per color of one coloring or a joint pair, by
-    color id: a (colors, n, n) int64 stack.
+def color_matrices(colorings) -> list:
+    """0/1 adjacency matrix per color of a list of one coloring or a joint
+    pair: one (colors, n_i, n_i) int64 stack per graph, the diagonal blocks
+    of the generators.
 
-    For a joint pair the matrices are block diagonal with zero off-diagonal
-    blocks, and the partition-of-unity invariant holds within each diagonal
-    block.
+    The stacks run over the union of the graphs' color ids, in sorted
+    order, so index c is one color in every block; a color that a graph
+    lacks gives a zero block.  Each stack sums to the all-ones matrix.
     """
-    if not isinstance(colorings, (list, tuple)):
-        colorings = [colorings]
-    n_tot = sum(c.n for c in colorings)
-    # the joint color table; -1 marks the off-diagonal blocks
-    table = np.full((n_tot, n_tot), -1, dtype=np.int64)
-    off = 0
-    for c in colorings:
-        table[off : off + c.n, off : off + c.n] = c.color
-        off += c.n
-    colors = np.array(sorted(set(table.ravel().tolist()) - {-1}), dtype=np.int64)
-    return (table == colors[:, None, None]).astype(np.int64)
+    ids = set().union(*(c.color.ravel().tolist() for c in colorings))
+    colors = np.array(sorted(ids), dtype=np.int64)[:, None, None]
+    return [(c.color == colors).astype(np.int64) for c in colorings]
 
 
-def grow_products(basis: MatrixSpanBasis, generators: np.ndarray,
-                  max_length: int | None = None):
-    """Grow an empty basis into the span of products of the generators, a
-    (c, n, n) stack such as ``color_matrices`` returns.
+def grow_products(basis: MatrixSpanBasis, blocks, max_length: int | None = None):
+    """Grow an empty basis into the span of products of the generators,
+    given as their diagonal blocks: one (c, n_i, n_i) stack per block of
+    ``basis.sizes``, such as ``color_matrices`` returns.
 
     With a ``max_length`` the basis spans all products of at most that
     many generators, closed by multiplying with every generator.  With
@@ -264,19 +267,19 @@ def grow_products(basis: MatrixSpanBasis, generators: np.ndarray,
     if basis.rank:
         # the full-rank stop needs every basis row on the generators' support
         raise ValueError("grow_products starts from an empty basis")
-    gens = np.asarray(generators)
+    # one row per generator: its blocks' row-major entries side by side
+    gens = np.hstack([b.reshape(len(b), -1) for b in blocks],
+                     dtype=np.float64 if basis._prime else object)
     full = int(np.count_nonzero(gens.any(axis=0)))
-    prime = isinstance(basis.domain, PrimeField)
-    gens = gens.astype(np.float64 if prime else object)
     # a discrete coloring's generators already span every matrix on the
     # support, so the all-generator closure inserts them and stops
-    if max_length is None and prime and len(gens) < full:
+    if max_length is None and basis._prime and len(gens) < full:
         pair = _random_pair(gens, basis.domain.p)
         _close(basis, pair, pair, full, None)
-        added = basis.insert_batch(gens.reshape(len(gens), -1))
+        added = basis.insert_batch(gens)
         if basis.rank == full or not added.any():
             return basis, None
-        basis = MatrixSpanBasis(gens.shape[1], basis.domain)
+        basis = MatrixSpanBasis(basis.sizes, basis.domain)
     stabilized_at = _close(basis, gens, gens, full, max_length)
     return basis, None if max_length is None else stabilized_at
 
@@ -291,20 +294,27 @@ def _random_pair(gens: np.ndarray, p: int) -> np.ndarray:
 def _close(basis, seeds, factors, full, max_length):
     """Insert the seeds, then right-multiply the frontier by every factor
     until a length adds nothing or ``max_length`` (None: no bound).
+    Seeds, factors and products are rows of the block layout.
 
-    Each group of frontier matrices times every factor is one matmul and
-    one batch of at most ``_BATCH_ROWS`` rows and ``_BATCH_ENTRIES``
-    entries (step 2 of ``insert_batch`` sweeps the batch once per kept
-    row), in frontier-then-factor order, which keeps the rows of
-    one-at-a-time insertion.  It stops once the rank equals ``full``, the
-    support size: the span then holds every matrix on the support, which
-    is closed under products.  Returns the stall length as
+    Each group of frontier matrices times every factor is one matmul per
+    block and one batch of at most ``_BATCH_ROWS`` rows and
+    ``_BATCH_ENTRIES`` entries (step 2 of ``insert_batch`` sweeps the
+    batch once per kept row), in frontier-then-factor order, which keeps
+    the rows of one-at-a-time insertion.  It stops once the rank equals
+    ``full``, the support size: the span then holds every matrix on the
+    support, which is closed under products.  Returns the stall length as
     ``grow_products`` defines it.
     """
-    n = basis.n
-    frontier = seeds[basis.insert_batch(seeds.reshape(len(seeds), -1))]
-    rows = min(_BATCH_ROWS, _BATCH_ENTRIES // (n * n))
+    frontier = seeds[basis.insert_batch(seeds)]
+    rows = min(_BATCH_ROWS, _BATCH_ENTRIES // basis.width)
     step = max(1, rows // len(factors))
+    bounds = np.cumsum([0] + [n * n for n in basis.sizes])
+
+    def mul(a, b, out):
+        if basis._prime:
+            return _matmul_mod(a, b, basis.domain.p, out=out)
+        return np.matmul(a, b, out=out)
+
     length = 1
     while max_length is None or length < max_length:
         length += 1
@@ -312,14 +322,15 @@ def _close(basis, seeds, factors, full, max_length):
             return length
         kept = []
         for start in range(0, len(frontier), step):
-            # m @ f for each frontier matrix m, then each factor f
             group = frontier[start : start + step, None]
-            if basis._prime:
-                prods = _matmul_mod(group, factors, basis.domain.p)
-            else:
-                prods = group @ factors
-            prods = prods.reshape(-1, n, n)
-            kept.append(prods[basis.insert_batch(prods.reshape(len(prods), -1))])
+            prods = np.empty((len(group) * len(factors), basis.width),
+                             factors.dtype)
+            for n, lo, hi in zip(basis.sizes, bounds, bounds[1:]):
+                # m @ f for each frontier matrix m, then each factor f
+                mul(group[..., lo:hi].reshape(-1, 1, n, n),
+                    factors[:, lo:hi].reshape(-1, n, n),
+                    prods[:, lo:hi].reshape(len(group), len(factors), n, n))
+            kept.append(prods[basis.insert_batch(prods)])
             if basis.rank == full:
                 break
         frontier = np.concatenate(kept)
@@ -328,31 +339,25 @@ def _close(basis, seeds, factors, full, max_length):
     return max_length + 1
 
 
-def partition_from_span(basis: MatrixSpanBasis, coords=None) -> np.ndarray:
+def partition_from_span(basis: MatrixSpanBasis) -> np.ndarray:
     """Coordinate-equality partition of the span: labels per coordinate.
 
     Two coordinates share a class iff every basis row has equal entries at
     both.  Labels are canonical by first occurrence in coordinate order.
-    Over a prime field ``group_rows`` groups the columns through a
-    transposed view, without a transposed copy.
+    ``group_rows`` groups the columns through a transposed view, without a
+    transposed copy; rational entries go by the first-seen order of the
+    distinct values.
     """
     if basis.rank == 0:
         raise ValueError("empty basis has no coordinate partition")
     if isinstance(basis.domain, PrimeField):
-        stacked = basis.row_vectors()
-        if coords is not None:
-            stacked = stacked[:, coords]
         # int64 labels: a -0.0 entry must not split a class from 0.0
-        return group_rows(stacked.astype(np.int64).T)
-    cols = np.array(basis.row_vectors(), dtype=object)
-    if coords is not None:
-        cols = cols[:, coords]
-    seen = {}
-    labels = np.empty(cols.shape[1], dtype=np.int64)
-    for j in range(cols.shape[1]):
-        key = tuple(cols[:, j])
-        labels[j] = seen.setdefault(key, len(seen))
-    return labels
+        ids = basis.row_vectors().astype(np.int64)
+    else:
+        index = {}
+        ids = np.array([[index.setdefault(x, len(index)) for x in row]
+                        for row in basis.row_vectors()], dtype=np.int64)
+    return group_rows(ids.T)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +371,7 @@ _STOP_WINDOW = 24  # lengths without a split that end a run with no max_length
 class SpanProfile:
     """Result of profiling the product span by random sampling."""
 
-    labels: np.ndarray          # canonical class labels over requested coords
+    labels: np.ndarray          # canonical class labels per coordinate
     stabilized_length: int      # last length that still changed something
     lengths_used: int
 
@@ -382,14 +387,12 @@ def sampled_span_profile(
 
     ``color_tables`` holds one (n_i, n_i) color table per graph: one for a
     single coloring, two for a joint pair, whose color matrices are block
-    diagonal.  The labels run over the blocks' row-major coordinates,
-    concatenated in table order (``Workspace.universe_coords`` order).
+    diagonal.  The labels run over the coordinates of the block layout.
     Each length multiplies every running chain by a fresh random linear
     combination of the generators, so chain entries are random linear
     functionals of the exact-length walk counts.  One coefficient per color
     is drawn over the union of the blocks' colors, and each block keeps its
-    own chain, so a length costs sum_i n_i^3 multiply-adds per chain and
-    touches no coordinate outside the blocks.  One label array starts as
+    own chain.  One label array starts as
     the input colors; at each length every coordinate's samples are
     compared with those of its class's first member, and only when some
     class splits are the labels regrouped with the samples.

@@ -66,16 +66,16 @@ def int_list(text: str) -> tuple:
     return tuple(int(x) for x in text.split(","))
 
 
-def _max_iters(args):
-    if args.max_iters is not None and args.max_iters < 0:
-        raise UsageError(f"--max-iters {args.max_iters} is negative")
-    return args.max_iters
+def _at_least(flag: str, value, minimum: int) -> None:
+    if value is not None and value < minimum:
+        raise UsageError(f"{flag} {value} is below {minimum}")
 
 
 def _kind_from_args(args) -> RefinementKind:
     if args.kind == "kwalk":
         if args.k is None:
             raise UsageError("--kind kwalk requires --k")
+        _at_least("--k", args.k, 2)
         return RefinementKind.kwalk(args.k)
     if args.k is not None:
         raise UsageError(f"--kind {args.kind} takes no --k")
@@ -104,6 +104,7 @@ def _json(obj) -> str:
 
 
 def _cmd_gen(args) -> int:
+    _at_least("--grid", args.grid, 3)
     base = grid_base(args.grid)
     twist = default_twist(base) if args.twist else None
     cfi = build_cfi(base, twist)
@@ -124,12 +125,13 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_refine(args) -> int:
-    max_iters = _max_iters(args)
+    _at_least("--max-iters", args.max_iters, 0)
+    kind = _kind_from_args(args)
     g = _load_graph(args.graph)
     hist = stabilize(
         Workspace.from_graphs(g),
-        _kind_from_args(args),
-        max_iterations=max_iters,
+        kind,
+        max_iterations=args.max_iters,
         seed=args.seed,
         arith=args.arith,
     )
@@ -138,11 +140,11 @@ def _cmd_refine(args) -> int:
 
 
 def _cmd_distinguish(args) -> int:
-    max_iters = _max_iters(args)
-    g1, g2 = (_load_graph(p) for p in args.graphs)
+    _at_least("--max-iters", args.max_iters, 0)
     kind = _kind_from_args(args)
+    g1, g2 = (_load_graph(p) for p in args.graphs)
     result = iterations_to_distinguish(
-        g1, g2, kind, max_iterations=max_iters, seed=args.seed,
+        g1, g2, kind, max_iterations=args.max_iters, seed=args.seed,
         arith=args.arith,
     )
     _emit(args, _json({
@@ -162,6 +164,7 @@ def _cmd_dims(args) -> int:
 
 
 def _cmd_remark(args) -> int:
+    _at_least("--n-min", args.n_min, 2)
     if args.n_min > args.n_max:
         raise UsageError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
     report = run_remark_disagreement(
@@ -174,6 +177,7 @@ def _cmd_remark(args) -> int:
 
 def _cmd_lower_bound(args) -> int:
     n = args.n_values
+    _at_least("--n-values", min(n), 3)
     if any(a >= b for a, b in zip(n, n[1:])):
         raise UsageError(f"--n-values {','.join(map(str, n))} is not "
                          "strictly increasing")
@@ -183,6 +187,7 @@ def _cmd_lower_bound(args) -> int:
 
 
 def _cmd_formula(args) -> int:
+    _at_least("--k", args.k, 3)
     g1, g2 = (_load_graph(p) for p in args.graphs)
     sentence, details = synth_distinguishing_sentence(
         g1, g2, args.k, return_details=True
@@ -200,6 +205,8 @@ def _cmd_formula(args) -> int:
 
 
 def _cmd_verify_duplicator(args) -> int:
+    _at_least("--grid", args.grid, 3)
+    _at_least("--k", args.k, 2)
     # wall-nonadjacent also pebbles column + 1
     last = args.grid - (2 if args.scenario == "wall-nonadjacent" else 1)
     if args.scenario != "opening" and not 0 <= args.column <= last:
@@ -334,6 +341,7 @@ def main(argv=None) -> int:
         parser.exit(2, f"error: --format csv is only supported by "
                        f"{', '.join(REPORT_COMMANDS)}\n")
     try:
+        _at_least("--seed", args.seed, 0)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -112,16 +112,6 @@ class Workspace:
     def partition(self) -> PairPartition:
         return PairPartition.from_colorings(self.colorings)
 
-    def universe_coords(self) -> np.ndarray:
-        """Flat indices of the in-block coordinates of the joint matrix."""
-        n_tot = self.total_vertices
-        out, off = [], 0
-        for n in self.sizes:
-            rows = (off + np.arange(n))[:, None] * n_tot + (off + np.arange(n))
-            out.append(rows.ravel())
-            off += n
-        return np.concatenate(out)
-
 
 @dataclass
 class WalkRecord:
@@ -297,28 +287,26 @@ def _span_labels(ws, k, *, seed, want_dim=False, arith="prime2"):
     k-walk steps sample over both primes, as under ``prime2``, which also
     checks ranks on both.
 
-    Both engines label the universe coordinates in
-    ``Workspace.universe_coords`` order.  The closure reads them from its
-    n_tot-wide basis rows; the sampler takes the per-graph color tables
-    and multiplies one chain per graph, so a joint pair costs it
-    n_1^3 + n_2^3 per chain and length, not (n_1 + n_2)^3.
+    Both engines see a joint pair as its ``ws.sizes`` diagonal blocks, so
+    a product costs n_1^3 + n_2^3, not (n_1 + n_2)^3, and they label the
+    universe coordinates, in ``PairPartition`` order.
     """
     n_tot = ws.total_vertices
     check_arith(arith, n_tot)
     if k is None and (want_dim or n_tot <= EXACT_METHOD_MAX_VERTICES):
         domain = RationalDomain() if arith == "rational" else PrimeField(PRIME_1)
         gens = color_matrices(ws.colorings)
-        basis, _ = grow_products(MatrixSpanBasis(n_tot, domain), gens)
+        basis, _ = grow_products(MatrixSpanBasis(ws.sizes, domain), gens)
         if want_dim and arith == "prime2":
             check, _ = grow_products(
-                MatrixSpanBasis(n_tot, PrimeField(PRIME_2)), gens
+                MatrixSpanBasis(ws.sizes, PrimeField(PRIME_2)), gens
             )
             if check.rank != basis.rank:
                 raise AlgebraCrossCheckError(
                     f"exact ranks disagree across primes: "
                     f"{basis.rank} vs {check.rank}"
                 )
-        return partition_from_span(basis, ws.universe_coords()), basis.rank
+        return partition_from_span(basis), basis.rank
     prof = sampled_span_profile(
         [c.color for c in ws.colorings],
         max_length=k,

@@ -29,7 +29,6 @@ from walkref.graph_core import (
     group_rows,
     initial_coloring,
 )
-from walkref.refinement import Workspace
 
 
 def cycle(n):
@@ -49,10 +48,41 @@ def discrete(n, first_color=0):
 def closure_rank(coloring, domain=None, max_length=None):
     """Rank of the product span of one coloring's matrices; the whole
     algebra unless max_length bounds the product length."""
-    gens = color_matrices(coloring)
-    basis, _ = grow_products(MatrixSpanBasis(gens.shape[1], domain), gens,
+    gens = color_matrices([coloring])
+    basis, _ = grow_products(MatrixSpanBasis(coloring.n, domain), gens,
                              max_length)
     return basis.rank
+
+
+def block_color_table(colorings):
+    """Block-diagonal joint color table; off-block entries are -1."""
+    n_tot = sum(c.n for c in colorings)
+    table = np.full((n_tot, n_tot), -1, dtype=np.int64)
+    off = 0
+    for c in colorings:
+        table[off : off + c.n, off : off + c.n] = c.color
+        off += c.n
+    return table
+
+
+def joint_matrices(colorings):
+    """The (colors, n_tot, n_tot) joint color matrices, zero off the
+    diagonal blocks."""
+    table = block_color_table(colorings)
+    colors = np.array(sorted(set(table.ravel().tolist()) - {-1}))
+    return (table == colors[:, None, None]).astype(np.int64)
+
+
+def universe_coords(sizes):
+    """Flat indices of the in-block coordinates of an n_tot x n_tot matrix,
+    block by block, each block row-major."""
+    n_tot = sum(sizes)
+    out, off = [], 0
+    for n in sizes:
+        idx = off + np.arange(n)
+        out.append((idx[:, None] * n_tot + idx).ravel())
+        off += n
+    return np.concatenate(out)
 
 
 class TestSpanBasis:
@@ -150,31 +180,51 @@ def test_mod_p_exact(p):
     assert got.tolist() == [float(x % p) for x in values]
 
 
+def test_matmul_mod_into_strided_out():
+    # products land in one block's columns of a wider batch, over an inner
+    # dimension of more than one _CHUNK
+    p, k = PRIME_1, 2 * _CHUNK + 3
+    rng = np.random.default_rng(1)
+    a = rng.integers(0, p, size=(2, 1, 3, k)).astype(np.float64)
+    b = rng.integers(0, p, size=(4, k, 3)).astype(np.float64)
+    batch = np.zeros((8, 20))
+    _matmul_mod(a, b, p, out=batch[:, 5:14].reshape(2, 4, 3, 3))
+    want = (a.astype(object) @ b.astype(object)) % p
+    assert batch[:, 5:14].tolist() == want.reshape(8, 9).tolist()
+    assert not batch[:, :5].any() and not batch[:, 14:].any()
+
+
 class TestColorMatrices:
     def test_partition_of_unity(self):
         c = initial_coloring(cycle(5))
-        gens = color_matrices(c)
+        [gens] = color_matrices([c])
         assert gens.shape == (3, 5, 5) and gens.dtype == np.int64
         total = gens.sum(axis=0)
         assert np.array_equal(total, np.ones((5, 5), dtype=np.int64))
 
     def test_joint_block_diagonal(self):
+        # the triangle has no non-edge, so that color's block is zero there
         a, b = initial_coloring(cycle(3)), initial_coloring(cycle(4))
-        gens = color_matrices([a, b])
-        assert gens.shape[1] == 7
-        total = gens.sum(axis=0)
-        assert total[:3, 3:].sum() == 0 and total[3:, :3].sum() == 0
-        assert np.array_equal(total[:3, :3], np.ones((3, 3), dtype=np.int64))
+        blocks = color_matrices([a, b])
+        assert [g.shape for g in blocks] == [(3, 3, 3), (3, 4, 4)]
+        for g, n in zip(blocks, (3, 4)):
+            assert np.array_equal(g.sum(axis=0), np.ones((n, n), np.int64))
+        assert [bool(g.any()) for g in blocks[0]].count(False) == 1
+        assert all(g.any() for g in blocks[1])
+        # the blocks are the joint matrices' diagonal blocks
+        joint = joint_matrices([a, b])
+        assert np.array_equal(joint[:, :3, :3], blocks[0])
+        assert np.array_equal(joint[:, 3:, 3:], blocks[1])
 
 
 class TestGrowProducts:
     def test_identity_generator_stabilizes_at_two(self):
-        gens = np.eye(3, dtype=np.int64)[None]
+        gens = [np.eye(3, dtype=np.int64)[None]]
         basis, stab = grow_products(MatrixSpanBasis(3), gens, max_length=9)
         assert basis.rank == 1 and stab == 2
 
     def test_rejects_non_empty_basis(self):
-        gens = color_matrices(discrete(2))
+        gens = color_matrices([discrete(2)])
         basis = MatrixSpanBasis(2)
         basis.insert(np.ones(4, dtype=np.int64))
         with pytest.raises(ValueError, match="empty basis"):
@@ -198,8 +248,9 @@ class TestGrowProducts:
 
 
 def reference_closure(gens, domain):
-    """Each frontier matrix times each generator, inserted one at a time,
-    every length until one adds nothing.  Returns (basis, stall length)."""
+    """Each frontier matrix times each generator of a (c, n, n) stack,
+    inserted one at a time, every length until one adds nothing.  Returns
+    (basis, stall length)."""
     prime = isinstance(domain, PrimeField)
     mats = [np.asarray(m, dtype=np.int64 if prime else object) for m in gens]
     basis = MatrixSpanBasis(gens.shape[1], domain)
@@ -234,26 +285,94 @@ def colorings(draw):
         dtype=np.int64).reshape(n, n)) for n in sizes]
 
 
+def full_width_closure(cs, domain, max_length):
+    """The joint closure on n_tot x n_tot matrices, zero off the diagonal
+    blocks, with one unbatched insertion per length: the reference for the
+    per-block closure.  Returns (basis, stall length as grow_products
+    defines it) over n_tot^2 coordinates."""
+    gens = joint_matrices(cs)
+    n_tot = gens.shape[1]
+    full = int(np.count_nonzero(gens.any(axis=0)))
+    prime = isinstance(domain, PrimeField)
+    gens = gens.astype(np.float64 if prime else object)
+
+    def close(basis, seeds, factors, max_length):
+        frontier = seeds[basis.insert_batch(seeds.reshape(len(seeds), -1))]
+        length = 1
+        while max_length is None or length < max_length:
+            length += 1
+            if basis.rank == full:
+                return length
+            prods = frontier[:, None] @ factors
+            if prime:
+                prods %= domain.p
+            prods = prods.reshape(-1, n_tot, n_tot)
+            frontier = prods[basis.insert_batch(prods.reshape(len(prods), -1))]
+            if len(frontier) == 0:
+                return length
+        return max_length + 1
+
+    basis = MatrixSpanBasis(n_tot, domain)
+    if max_length is None and prime and len(gens) < full:
+        coef = np.random.default_rng(0).integers(1, domain.p, size=(2, len(gens)))
+        pair = np.tensordot(coef.astype(np.float64), gens, axes=1)
+        close(basis, pair, pair, None)
+        added = basis.insert_batch(gens.reshape(len(gens), -1))
+        if basis.rank == full or not added.any():
+            return basis, None
+        basis = MatrixSpanBasis(n_tot, domain)
+    stall = close(basis, gens, gens, max_length)
+    return basis, None if max_length is None else stall
+
+
+def rows_at(basis, coords):
+    """Basis rows restricted to ``coords``, as lists of exact values."""
+    return [[int(x) if isinstance(x, float) else x for x in row[coords]]
+            for row in np.asarray(basis.row_vectors())]
+
+
+DOMAINS = {"prime1": PrimeField(PRIME_1), "prime2": PrimeField(PRIME_2),
+           "rational": RationalDomain()}
+
+
 class TestGrowProductsDifferential:
     @settings(deadline=None, max_examples=80)
-    @given(colorings(), st.sampled_from(["prime1", "prime2", "rational"]),
+    @given(colorings(), st.sampled_from(sorted(DOMAINS)),
            st.sampled_from([1, 6, _BATCH_ROWS]))
     def test_matches_one_at_a_time(self, cs, arith, batch_rows):
-        domain = {"prime1": PrimeField(PRIME_1), "prime2": PrimeField(PRIME_2),
-                  "rational": RationalDomain()}[arith]
-        gens = color_matrices(cs)
-        n = gens.shape[1]
-        ref, stall = reference_closure(gens, domain)
+        domain = DOMAINS[arith]
+        sizes = [c.n for c in cs]
+        ref, stall = reference_closure(joint_matrices(cs), domain)
         # smaller batches split a length, and the full-rank stop, across calls
         with mock.patch("walkref.algebra._BATCH_ROWS", batch_rows):
-            basis, stab = grow_products(MatrixSpanBasis(n, domain), gens,
-                                        n ** 2 + 1)
+            basis, stab = grow_products(MatrixSpanBasis(sizes, domain),
+                                        color_matrices(cs), sum(sizes) ** 2 + 1)
         assert basis.rank == ref.rank and stab == stall
-        got, want = basis.row_vectors(), ref.row_vectors()
-        if arith == "rational":
-            assert [list(r) for r in got] == [list(r) for r in want]
-        else:
-            assert np.array_equal(got, want)
+        assert rows_at(basis, slice(None)) == rows_at(ref, universe_coords(sizes))
+
+    @settings(deadline=None, max_examples=80)
+    @given(colorings(), st.sampled_from(sorted(DOMAINS)),
+           st.sampled_from(["bounded", "whole"]))
+    def test_matches_full_width(self, cs, arith, mode):
+        """Per-block products against the n_tot-wide joint closure: the same
+        rank, stall length and rows at the universe coordinates, which
+        are the only coordinates where the reference rows are non-zero."""
+        domain = DOMAINS[arith]
+        sizes = [c.n for c in cs]
+        max_length = sum(sizes) ** 2 + 1 if mode == "bounded" else None
+        ref, stall = full_width_closure(cs, domain, max_length)
+        basis, stab = grow_products(MatrixSpanBasis(sizes, domain),
+                                    color_matrices(cs), max_length)
+        assert basis.width == sum(n * n for n in sizes)
+        assert (basis.rank, stab) == (ref.rank, stall)
+        coords = universe_coords(sizes)
+        assert rows_at(basis, slice(None)) == rows_at(ref, coords)
+        off_block = np.setdiff1d(np.arange(sum(sizes) ** 2), coords)
+        assert not np.any(np.array(rows_at(ref, off_block), dtype=object))
+        # the coordinate partition, against a column-by-column grouping
+        cols = [tuple(c) for c in zip(*rows_at(ref, coords))]
+        first = np.array([[cols.index(c)] for c in cols])
+        assert np.array_equal(partition_from_span(basis), group_rows(first))
 
 
 class TestFullRankStop:
@@ -268,12 +387,13 @@ class TestFullRankStop:
             return insert_batch(self, batch)
 
         monkeypatch.setattr(MatrixSpanBasis, "insert_batch", counted)
-        gens = color_matrices(cs)
-        basis, stab = grow_products(MatrixSpanBasis(gens.shape[1]), gens, 50)
+        sizes = [c.n for c in cs]
+        basis, stab = grow_products(MatrixSpanBasis(sizes), color_matrices(cs),
+                                    50)
         return basis.rank, stab, sum(rows)
 
     def test_discrete_closes_without_products(self, monkeypatch):
-        assert self.closure_rows(monkeypatch, discrete(4)) == (16, 2, 16)
+        assert self.closure_rows(monkeypatch, [discrete(4)]) == (16, 2, 16)
 
     def test_joint_pair_full_rank_is_block_sum(self, monkeypatch):
         pair = [discrete(3), discrete(4, first_color=9)]
@@ -285,12 +405,12 @@ class TestFullAlgebra:
     @given(colorings(), st.sampled_from([PRIME_1, PRIME_2]))
     def test_matches_bounded_closure(self, cs, p):
         gens = color_matrices(cs)
-        n = gens.shape[1]
-        full, stab = grow_products(MatrixSpanBasis(n, PrimeField(p)),
+        sizes = [c.n for c in cs]
+        full, stab = grow_products(MatrixSpanBasis(sizes, PrimeField(p)),
                                    gens, None)
-        bounded, _ = grow_products(MatrixSpanBasis(n, PrimeField(p)),
-                                   gens, n ** 2 + 1)
-        ref, _ = reference_closure(gens, PrimeField(p))
+        bounded, _ = grow_products(MatrixSpanBasis(sizes, PrimeField(p)),
+                                   gens, sum(sizes) ** 2 + 1)
+        ref, _ = reference_closure(joint_matrices(cs), PrimeField(p))
         assert stab is None
         assert full.rank == bounded.rank == ref.rank
         assert np.array_equal(partition_from_span(full),
@@ -304,14 +424,14 @@ class TestFullAlgebra:
         # r1 = r2 = the all-ones matrix of each block spans a closed
         # algebra of rank one per block, which misses the generators
         gens = color_matrices(cs)
-        n = gens.shape[1]
+        sizes = [c.n for c in cs]
 
-        def ones(gen_stack, p):
-            return np.stack([gen_stack.sum(axis=0)] * 2)
+        def ones(gen_rows, p):
+            return np.stack([gen_rows.sum(axis=0)] * 2)
 
         with mock.patch("walkref.algebra._random_pair", ones):
-            got, _ = grow_products(MatrixSpanBasis(n), gens, None)
-        want, _ = grow_products(MatrixSpanBasis(n), gens, n ** 2)
+            got, _ = grow_products(MatrixSpanBasis(sizes), gens, None)
+        want, _ = grow_products(MatrixSpanBasis(sizes), gens, sum(sizes) ** 2)
         assert got.rank == want.rank > len(cs)
         assert np.array_equal(got.row_vectors(), want.row_vectors())
 
@@ -325,14 +445,14 @@ class TestFullAlgebra:
 
         monkeypatch.setattr(MatrixSpanBasis, "insert_batch", counted)
         gens = color_matrices([discrete(3), discrete(2, first_color=9)])
-        basis, stab = grow_products(MatrixSpanBasis(gens.shape[1]), gens, None)
+        basis, stab = grow_products(MatrixSpanBasis((3, 2)), gens, None)
         assert (basis.rank, stab, rows) == (13, None, [13])
 
 
 class TestPartitionFromSpan:
     def test_c5_span_partition(self):
         c = initial_coloring(cycle(5))
-        gens = color_matrices(c)
+        gens = color_matrices([c])
         basis, _ = grow_products(MatrixSpanBasis(5), gens, 25)
         labels = partition_from_span(basis)
         # vertex-transitive and edge/nonedge classes never merge
@@ -352,7 +472,7 @@ def tables(cs):
 class TestSampledProfile:
     def test_partition_matches_exact(self):
         c = initial_coloring(cycle(6))
-        gens = color_matrices(c)
+        gens = color_matrices([c])
         basis, _ = grow_products(MatrixSpanBasis(6), gens, 36)
         exact_labels = partition_from_span(basis)
         prof = sampled_span_profile(tables([c]), max_length=200, seed=5)
@@ -380,11 +500,10 @@ class TestSampledProfile:
     @settings(deadline=None, max_examples=60)
     @given(colorings(), st.integers(1, 4), st.integers(0, 3))
     def test_matches_bounded_closure(self, cs, k, seed):
-        gens = color_matrices(cs)
-        basis, _ = grow_products(MatrixSpanBasis(gens.shape[1]), gens, k)
-        coords = Workspace(cs).universe_coords()
+        basis, _ = grow_products(MatrixSpanBasis([c.n for c in cs]),
+                                 color_matrices(cs), k)
         prof = sampled_span_profile(tables(cs), max_length=k, seed=seed)
-        assert np.array_equal(prof.labels, partition_from_span(basis, coords))
+        assert np.array_equal(prof.labels, partition_from_span(basis))
         assert prof.lengths_used == k
 
     @pytest.mark.parametrize("n", [4, 9])  # capped at n^2; ended by the window
@@ -455,17 +574,6 @@ def full_width_sampled_span_profile(color_table, *, coords, seed,
     return labels, stabilized_length, length
 
 
-def block_color_table(colorings):
-    """Block-diagonal joint color table; off-block entries are -1."""
-    n_tot = sum(c.n for c in colorings)
-    table = np.full((n_tot, n_tot), -1, dtype=np.int64)
-    off = 0
-    for c in colorings:
-        table[off : off + c.n, off : off + c.n] = c.color
-        off += c.n
-    return table
-
-
 @st.composite
 def sampler_inputs(draw):
     """A single coloring, or a joint pair of equal or of unequal sizes,
@@ -496,7 +604,7 @@ class TestSampledDifferential:
         prof = sampled_span_profile(tables(cs), seed=seed,
                                     max_length=max_length, primes=primes)
         labels, stabilized, used = full_width_sampled_span_profile(
-            block_color_table(cs), coords=Workspace(cs).universe_coords(),
+            block_color_table(cs), coords=universe_coords([c.n for c in cs]),
             seed=seed, max_length=max_length, primes=primes)
         assert np.array_equal(prof.labels, labels)
         assert (prof.stabilized_length, prof.lengths_used) == (stabilized, used)

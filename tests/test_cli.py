@@ -291,18 +291,38 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("argv, message", [
         (["refine", "--graph", "{plain}", "--max-iters", "-1"],
-         "error: --max-iters -1 is negative\n"),
+         "error: --max-iters -1 is below 0\n"),
         (["distinguish", "--graphs", "{plain}", "{twisted}",
           "--max-iters", "-1"],
-         "error: --max-iters -1 is negative\n"),
+         "error: --max-iters -1 is below 0\n"),
         (["remark", "--n-min", "5", "--n-max", "2"],
          "error: --n-min 5 exceeds --n-max 2\n"),
         (["lower-bound", "--n-values", "6,4"],
          "error: --n-values 6,4 is not strictly increasing\n"),
         (["lower-bound", "--n-values", "4,4"],
          "error: --n-values 4,4 is not strictly increasing\n"),
+        (["gen", "--grid", "2"], "error: --grid 2 is below 3\n"),
+        (["verify-duplicator", "--grid", "0", "--k", "3",
+          "--scenario", "opening"], "error: --grid 0 is below 3\n"),
+        (["refine", "--graph", "{plain}", "--kind", "kwalk", "--k", "1"],
+         "error: --k 1 is below 2\n"),
+        (["distinguish", "--graphs", "{plain}", "{twisted}",
+          "--kind", "kwalk", "--k", "1"], "error: --k 1 is below 2\n"),
+        (["verify-duplicator", "--grid", "4", "--k", "1",
+          "--scenario", "wall-adjacent", "--column", "1"],
+         "error: --k 1 is below 2\n"),
+        (["formula", "--graphs", "{plain}", "{twisted}", "--k", "2"],
+         "error: --k 2 is below 3\n"),
+        (["lower-bound", "--n-values", "2,4"],
+         "error: --n-values 2 is below 3\n"),
+        (["remark", "--n-min", "0", "--n-max", "3"],
+         "error: --n-min 0 is below 2\n"),
+        (["refine", "--graph", "{plain}", "--kind", "kwalk", "--k", "3",
+          "--seed", "-1"], "error: --seed -1 is below 0\n"),
     ], ids=["refine-max-iters", "distinguish-max-iters", "remark-range",
-            "n-values-decreasing", "n-values-repeated"])
+            "n-values-decreasing", "n-values-repeated", "gen-grid",
+            "duplicator-grid", "refine-k", "distinguish-k", "duplicator-k",
+            "formula-k", "n-values-small", "remark-n-min", "negative-seed"])
     def test_rejected_before_any_work(self, capsys, monkeypatch, cfi_pair,
                                       argv, message):
         import walkref.cli as cli
@@ -311,7 +331,9 @@ class TestUsageErrors:
             raise AssertionError("the command ran before refusing")
 
         for name in ("stabilize", "iterations_to_distinguish",
-                     "run_remark_disagreement", "run_lower_bound"):
+                     "run_remark_disagreement", "run_lower_bound",
+                     "_load_graph", "grid_base", "build_cfi",
+                     "synth_distinguishing_sentence"):
             monkeypatch.setattr(cli, name, no_work)
         plain, twisted = cfi_pair
         capsys.readouterr()

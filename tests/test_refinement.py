@@ -105,9 +105,9 @@ class TestStepAgreement:
     def test_sampled_equals_exact(self, graphs, k):
         """The k-walk sampler against the exact closure bounded at k."""
         ws = Workspace.from_graphs(graphs)
-        gens = color_matrices(ws.colorings)
-        basis, _ = grow_products(MatrixSpanBasis(gens.shape[1]), gens, k)
-        labels = partition_from_span(basis, ws.universe_coords())
+        basis, _ = grow_products(MatrixSpanBasis(ws.sizes),
+                                 color_matrices(ws.colorings), k)
+        labels = partition_from_span(basis)
         k_walk_step(ws, k, seed=17)
         assert ws.partition() == PairPartition(ws.sizes, labels)
 
@@ -154,6 +154,31 @@ class TestStepAgreement:
         assert ws.total_vertices > refinement.EXACT_METHOD_MAX_VERTICES
         walk_step(ws)
         k_walk_step(ws, 3)
+        assert shapes
+        assert all(a == b and a in {(n, n) for n in sizes} for a, b in shapes)
+
+    @pytest.mark.parametrize("grids", [(3, 3), (3, 2)],
+                             ids=["cfi3-pair-38", "cfi3-cfi2-30"])
+    def test_closure_multiplies_per_graph_blocks(self, monkeypatch, grids):
+        """Up to 40 joint vertices every product the exact closure forms is
+        n_i x n_i for one graph, never (n_1 + n_2) x (n_1 + n_2).  Its
+        elimination calls are 2-D and are not products of matrices."""
+        bases = [grid_base(g, allow_degenerate=True) for g in grids]
+        graphs = [build_cfi(bases[0]).graph,
+                  build_cfi(bases[1], default_twist(bases[1])).graph]
+        sizes = {g.n for g in graphs}
+        shapes = []
+        matmul_mod = algebra._matmul_mod
+
+        def recorded(a, b, p, acc=None, out=None):
+            if a.ndim > 2:
+                shapes.append((a.shape[-2:], b.shape[-2:]))
+            return matmul_mod(a, b, p, acc, out)
+
+        monkeypatch.setattr(algebra, "_matmul_mod", recorded)
+        ws = Workspace.from_graphs(graphs)
+        assert ws.total_vertices <= refinement.EXACT_METHOD_MAX_VERTICES
+        walk_step(ws, want_dim=True)
         assert shapes
         assert all(a == b and a in {(n, n) for n in sizes} for a, b in shapes)
 
@@ -241,6 +266,24 @@ class TestStabilize:
         assert d["kind"] == "wl" and d["k"] is None
         assert d["iterations"] == len(d["classes_per_iteration"]) - 1
         assert d["distinguished_at"] is not None
+
+    @pytest.mark.parametrize("g", [
+        build_cfi(grid_base(3)).graph,
+        *[random_graph(n, seed) for n, seed in ((12, 1), (15, 2), (18, 3))],
+        random_graph(16, 5, p=0.3),
+    ], ids=["cfi3", "random12", "random15", "random18", "random16-sparse"])
+    def test_joint_with_relabelled_copy_keeps_dims(self, g):
+        """G beside a relabelled copy generates the algebra of pairs
+        (X, P X P^T), isomorphic to G's own, so the joint run gives G's
+        dimension chain and iteration count."""
+        perm = np.random.default_rng(g.n).permutation(g.n).tolist()
+        single = stabilize(Workspace.from_graphs(g), RefinementKind.walk(),
+                           record_dims=True)
+        joint = stabilize(Workspace.from_graphs([g, g.relabel(perm)]),
+                          RefinementKind.walk(), record_dims=True)
+        assert joint.dims == single.dims
+        assert joint.iterations == single.iterations
+        assert joint.distinguished_at is None
 
     def test_dims_monotone_on_walk_run(self):
         ws = Workspace.from_graphs(cycle(8))
