@@ -48,6 +48,9 @@ from .walk_logic import (
 )
 
 REPORT_COMMANDS = ("remark", "lower-bound", "suite")
+# a grid of n columns builds 8n - 5 vertices: 256 keeps every CFI graph
+# within the loader's 2048-vertex limit
+MAX_GRID = 256
 
 
 class UsageError(Exception):
@@ -69,6 +72,11 @@ def int_list(text: str) -> tuple:
 def _at_least(flag: str, value, minimum: int) -> None:
     if value is not None and value < minimum:
         raise UsageError(f"{flag} {value} is below {minimum}")
+
+
+def _at_most(flag: str, value, maximum: int) -> None:
+    if value is not None and value > maximum:
+        raise UsageError(f"{flag} {value} is above {maximum}")
 
 
 def _kind_from_args(args) -> RefinementKind:
@@ -105,6 +113,7 @@ def _json(obj) -> str:
 
 def _cmd_gen(args) -> int:
     _at_least("--grid", args.grid, 3)
+    _at_most("--grid", args.grid, MAX_GRID)
     base = grid_base(args.grid)
     twist = default_twist(base) if args.twist else None
     cfi = build_cfi(base, twist)
@@ -167,6 +176,7 @@ def _cmd_remark(args) -> int:
     _at_least("--n-min", args.n_min, 2)
     if args.n_min > args.n_max:
         raise UsageError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
+    _at_most("--n-max", args.n_max, MAX_GRID)
     report = run_remark_disagreement(
         tuple(range(args.n_min, args.n_max + 1)),
         seed=args.seed, arith=args.arith,
@@ -178,6 +188,7 @@ def _cmd_remark(args) -> int:
 def _cmd_lower_bound(args) -> int:
     n = args.n_values
     _at_least("--n-values", min(n), 3)
+    _at_most("--n-values", max(n), MAX_GRID)
     if any(a >= b for a, b in zip(n, n[1:])):
         raise UsageError(f"--n-values {','.join(map(str, n))} is not "
                          "strictly increasing")
@@ -206,6 +217,7 @@ def _cmd_formula(args) -> int:
 
 def _cmd_verify_duplicator(args) -> int:
     _at_least("--grid", args.grid, 3)
+    _at_most("--grid", args.grid, MAX_GRID)
     _at_least("--k", args.k, 2)
     # wall-nonadjacent also pebbles column + 1
     last = args.grid - (2 if args.scenario == "wall-nonadjacent" else 1)

@@ -208,9 +208,6 @@ class PairPartition:
         n = self.sizes[tag]
         return self.labels[start : start + n * n].reshape(n, n)
 
-    def class_of(self, tag: int, u: int, v: int) -> int:
-        return int(self.block(tag)[u, v])
-
     def color_multiset(self, tag: int):
         """Sorted (class, count) pairs for one graph's block."""
         ids, counts = np.unique(self.block(tag), return_counts=True)
@@ -300,10 +297,6 @@ def _lexsort_groups(a: np.ndarray):
     return order[starts], inverse
 
 
-def partition_of(c: ColoredCompleteGraph) -> PairPartition:
-    return PairPartition.from_colorings([c])
-
-
 def compare_partitions(p: PairPartition, q: PairPartition) -> PartitionOrder:
     """Lattice comparison of two partitions of the same universe."""
     if p.sizes != q.sizes:
@@ -334,7 +327,6 @@ __all__ = [
     "PartitionOrder",
     "InvariantReport",
     "initial_coloring",
-    "partition_of",
     "compare_partitions",
     "check_invariants",
     "load_graph_json",

@@ -12,7 +12,6 @@ span completely.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -211,10 +210,20 @@ def walk_step(ws: Workspace, seed: int = 0, want_dim: bool = False,
 
 
 def naive_k_walk_step(ws: Workspace, k: int, budget: int = NAIVE_WALK_BUDGET):
-    """Oracle k-walk step by brute-force walk enumeration.
+    """Oracle k-walk step by enumeration of every k-step walk.
 
     Returns a WalkRecord of the walk-count multisets.  Refuses to touch
     more than ``budget`` walk steps in total.
+
+    Each graph's walks are built in numpy, level by level, in chunks of at
+    most ``_WALKS_PER_CHUNK`` walks (see ``_walk_counts``).  A walk is one
+    int64 key: its pair u*n + v, then its k colours as digits base r, the
+    graph's number of colours.  Keys stay below n^2 r^k <= (n^(k+1))^2,
+    inside int64 whenever a graph has at most 3*10^9 walks, which every
+    budget below 6*10^9 ensures; a larger key range is refused up front.
+    Pairs are then grouped across the graphs by their rows of (colour
+    sequence, count) entries, and a class's multiset dict is built from
+    its first pair only.
     """
     if k < 2:
         raise ValueError("k-walk refinement requires k >= 2")
@@ -223,34 +232,113 @@ def naive_k_walk_step(ws: Workspace, k: int, budget: int = NAIVE_WALK_BUDGET):
         raise BudgetExceeded(
             f"naive enumeration needs {cost} steps > budget {budget}"
         )
-    prev_tables = [c.color.copy() for c in ws.colorings]
-    per_pair = []  # aligned with universe order: dict seq -> count
+    palettes = []
     for c in ws.colorings:
-        table = c.color
-        n = c.n
-        for u in range(n):
-            for v in range(n):
-                counts = {}
-                for mids in itertools.product(range(n), repeat=k - 1):
-                    walk = (u, *mids, v)
-                    seq = tuple(
-                        int(table[walk[i], walk[i + 1]]) for i in range(k)
-                    )
-                    counts[seq] = counts.get(seq, 0) + 1
-                per_pair.append(counts)
-    sigs = [tuple(sorted(d.items())) for d in per_pair]
-    seen = {}
-    labels = np.array([seen.setdefault(s, len(seen)) for s in sigs], dtype=np.int64)
-    labels = _install_labels(ws, labels)
+        palette, local = np.unique(c.color, return_inverse=True)
+        if c.n * c.n * len(palette) ** k > np.iinfo(np.int64).max:
+            raise BudgetExceeded(
+                f"naive enumeration keys of {c.n} vertices, "
+                f"{len(palette)} colours and k = {k} exceed int64"
+            )
+        palettes.append((palette, local.reshape(c.n, c.n)))
+    prev_tables = [c.color.copy() for c in ws.colorings]
+    # entries: one per distinct (pair, colour sequence), sorted by pair
+    # in universe order, then by sequence
+    pairs, counts, seq_rows, seqs = [], [], [], []
+    offset = rows = 0
+    for c, (palette, local) in zip(ws.colorings, palettes):
+        r = len(palette)
+        keys, cnt = _walk_counts(local, r, k)
+        pairs.append(keys // r**k + offset)
+        counts.append(cnt)
+        codes, inverse = np.unique(keys % r**k, return_inverse=True)
+        seq_rows.append(inverse + rows)
+        digits = np.empty((len(codes), k), dtype=np.int64)
+        for i in reversed(range(k)):
+            codes, digits[:, i] = np.divmod(codes, r)
+        seqs.append(palette[digits])
+        offset += c.n * c.n
+        rows += len(digits)
+    pairs, counts = np.concatenate(pairs), np.concatenate(counts)
+    seq_rows, seqs = np.concatenate(seq_rows), np.vstack(seqs)
+    seq_ids = group_rows(seqs)[seq_rows]
+    # one row per pair: its (sequence id, count) entries, padded with -1
+    per_pair = np.bincount(pairs, minlength=offset)
+    start = np.cumsum(per_pair) - per_pair
+    pos = 2 * (np.arange(len(pairs)) - start[pairs])
+    table = np.full((offset, 2 * int(per_pair.max())), -1, dtype=np.int64)
+    table[pairs, pos] = seq_ids
+    table[pairs, pos + 1] = counts
+    labels = _install_labels(ws, group_rows(table))
+    # the entries of each class's first pair, class after class
+    _, first = np.unique(labels, return_index=True)
+    sizes = per_pair[first]
+    ends = np.cumsum(sizes)
+    picked = np.repeat(start[first] - (ends - sizes), sizes) \
+        + np.arange(ends[-1])
+    seq_lists = seqs[seq_rows[picked]].tolist()
+    count_list = counts[picked].tolist()
     class_multisets = {}
-    for lab, counts in zip(labels.tolist(), per_pair):
-        class_multisets.setdefault(lab, counts)
+    lo = 0
+    for lab, hi in enumerate(ends.tolist()):
+        class_multisets[lab] = dict(zip(map(tuple, seq_lists[lo:hi]),
+                                        count_list[lo:hi]))
+        lo = hi
     return WalkRecord(
         k=k,
         prev_tables=prev_tables,
         new_tables=[c.color.copy() for c in ws.colorings],
         class_multisets=class_multisets,
     )
+
+
+_WALKS_PER_CHUNK = 2**16
+
+
+def _walk_counts(local: np.ndarray, r: int, k: int):
+    """Sorted distinct walk keys of one graph and their walk counts.
+
+    ``local`` holds the graph's colours as indices below ``r``; the key of
+    the walk (u, w_2, ..., w_k, v) is (u*n + v) * r^k plus its colour
+    indices as k digits base r, the first step's most significant.  Walks
+    grow one level at a time from their first vertices.  While one first
+    vertex would still leave more than ``_WALKS_PER_CHUNK`` walks, the
+    whole prefix set grows by a level; then chunks of prefixes, each
+    leaving at most that many walks, run the remaining levels.
+    """
+    n = local.shape[0]
+    first = last = np.arange(n)
+    code = np.zeros(n, dtype=np.int64)
+    rest = k
+    while rest > 1 and n**rest > _WALKS_PER_CHUNK:
+        first, code, last = _extend(first, code, last, local, r)
+        rest -= 1
+    step = max(1, _WALKS_PER_CHUNK // n**rest)
+    keys, counts = [], []
+    for s in range(0, len(first), step):
+        f, c, w = first[s : s + step], code[s : s + step], last[s : s + step]
+        for _ in range(rest):
+            f, c, w = _extend(f, c, w, local, r)
+        chunk_keys, chunk_counts = np.unique((f * n + w) * r**k + c,
+                                             return_counts=True)
+        keys.append(chunk_keys)
+        counts.append(chunk_counts)
+    chunks = len(keys)
+    keys, counts = np.concatenate(keys), np.concatenate(counts)
+    if chunks > 1:
+        # a first vertex may span several chunks: merge equal keys
+        order = np.argsort(keys, kind="stable")
+        keys, counts = keys[order], counts[order]
+        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        keys, counts = keys[starts], np.add.reduceat(counts, starts)
+    return keys, counts
+
+
+def _extend(first, code, last, local, r):
+    """Every walk extended by one step to each vertex."""
+    n = local.shape[0]
+    return (np.repeat(first, n), (code[:, None] * r + local[last]).ravel(),
+            np.tile(np.arange(n), len(last)))
 
 
 def check_arith(arith: str, total_vertices: int) -> None:

@@ -10,7 +10,12 @@ only the variable symbols are distinct.
 Formulas are hash-consed, so equal subtrees are physically shared and all
 sizes below are DAG sizes.  Evaluation works on whole boolean pair
 matrices: a walk quantifier is two or more integer matrix products
-followed by a threshold, memoized per node.
+followed by a threshold.  Each graph has one ``Evaluator``, shared by
+every evaluation on it: its memo keeps conjunctions (class formulas among
+them), weakly keyed on the interned nodes, and within one evaluation the
+quantifiers over one parts tuple share one count product.  ``EvalBudget``
+limits are checked on the whole DAG before the memo is read, and every
+returned matrix is read-only.
 
 Synthesis turns the walk-count records of an iterated k-walk refinement
 into color-identifying formulas (quantifier depth m identifies a class of
@@ -39,9 +44,12 @@ class WalkFormula:
     ``op`` is one of "eq", "adj", "not", "and", "walk"; ``j`` is the count
     threshold of a walk quantifier (0 otherwise); ``parts`` holds the
     children.  Nodes are interned, so structural equality is identity.
+    ``_depth`` and ``_width`` (the most parts of any walk quantifier in
+    the DAG, 0 if none) are kept per node.
     """
 
-    __slots__ = ("op", "j", "parts", "_depth", "_size", "__weakref__")
+    __slots__ = ("op", "j", "parts", "_depth", "_width", "_size",
+                 "__weakref__")
 
     def __init__(self, op, j, parts):
         self.op = op
@@ -50,6 +58,8 @@ class WalkFormula:
         self._depth = (1 if op == "walk" else 0) + max(
             (p._depth for p in parts), default=0
         )
+        self._width = max([len(parts) if op == "walk" else 0]
+                          + [p._width for p in parts])
         self._size = None
 
     @property
@@ -60,11 +70,11 @@ class WalkFormula:
     def dag_size(self) -> int:
         """Distinct nodes reachable from this one, counted on first read."""
         if self._size is None:
-            seen, stack = {id(self)}, [self]
+            seen, stack = {self}, [self]
             while stack:
                 for p in stack.pop().parts:
-                    if id(p) not in seen:
-                        seen.add(id(p))
+                    if p not in seen:
+                        seen.add(p)
                         stack.append(p)
             self._size = len(seen)
         return self._size
@@ -79,7 +89,7 @@ _INTERN = weakref.WeakValueDictionary()
 
 
 def _mk(op, j, parts) -> WalkFormula:
-    key = (op, j, tuple(id(p) for p in parts))
+    key = (op, j, tuple(map(id, parts)))
     node = _INTERN.get(key)
     if node is None:
         node = WalkFormula(op, j, tuple(parts))
@@ -125,7 +135,16 @@ TOP = not_(and_((EQ, not_(EQ))))
 
 @dataclass(frozen=True)
 class EvalBudget:
-    """Caps on the work a single evaluation may do."""
+    """Caps on the work a single evaluation may do.
+
+    Both limits are checked up front, on the whole formula DAG, before
+    anything is evaluated or read from an evaluator's memo, so a memoized
+    result is refused under a budget that would refuse its evaluation:
+    the DAG may have at most ``max_node_evals`` nodes (a memoized
+    evaluation touches each once), and its widest walk quantifier, with
+    k parts, may range over at most ``max_tuples_per_quantifier``
+    interior tuples, n^(k-1).
+    """
 
     max_tuples_per_quantifier: int = DEFAULT_TUPLES_PER_QUANTIFIER
     max_node_evals: int = DEFAULT_NODE_EVALS
@@ -134,66 +153,103 @@ class EvalBudget:
         if self.max_tuples_per_quantifier < 1 or self.max_node_evals < 1:
             raise ValueError("budget limits must be positive")
 
+    def check(self, f: WalkFormula, n: int) -> None:
+        """Raise BudgetExceeded if evaluating ``f`` on n vertices would
+        exceed a limit."""
+        if f._width:
+            tuples = n ** (f._width - 1)
+            if tuples > self.max_tuples_per_quantifier:
+                raise BudgetExceeded(
+                    f"evaluation budget exceeded: quantifier ranges over "
+                    f"{tuples} interior tuples > "
+                    f"{self.max_tuples_per_quantifier}"
+                )
+        # every live node is interned, so no DAG outgrows the table and
+        # the DAG is counted only when the table is larger than the limit
+        if len(_INTERN) > self.max_node_evals and \
+                f.dag_size > self.max_node_evals:
+            raise BudgetExceeded(
+                f"evaluation budget exceeded: {f.dag_size} formula nodes > "
+                f"{self.max_node_evals} node evaluations"
+            )
 
-class _EvalState:
-    def __init__(self, g: SimpleGraph, budget: EvalBudget, memoize: bool):
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class Evaluator:
+    """Evaluation on one graph, shared by every ``eval_matrix`` call on it.
+
+    Holds the vertex count and a read-only adjacency matrix, not the
+    graph.  Its memo keeps the truth matrix of every conjunction it
+    evaluates, weakly keyed on the interned node, so a dropped formula
+    leaves the memo with it.  A class formula is a conjunction, and the
+    class formulas of later iterations and a distinguishing sentence are
+    built from it.  Walk quantifiers and negations are evaluated once per
+    call from their parts, and ``walk(j, P)`` and ``not walk(j + 1, P)``
+    share one int64 count product per parts tuple P within a call.
+    Keeping those across calls too would hold one matrix per node of
+    every live formula.  Every returned matrix is read-only.
+    """
+
+    def __init__(self, g: SimpleGraph):
         self.n = g.n
-        self.adj = g.adjacency().astype(bool)
-        self.budget = budget
-        self.memo = {} if memoize else None
-        self.node_evals = 0
+        self.adj = _read_only(g.adjacency().astype(bool))
+        self.memo = weakref.WeakKeyDictionary()
 
     def matrix(self, f: WalkFormula) -> np.ndarray:
-        if self.memo is not None:
-            cached = self.memo.get(id(f))
-            if cached is not None:
-                return cached
-        self.node_evals += 1
-        if self.node_evals > self.budget.max_node_evals:
-            raise BudgetExceeded(
-                f"evaluation budget exceeded: more than "
-                f"{self.budget.max_node_evals} node evaluations"
-            )
+        return self._value(f, {}, {})
+
+    def _value(self, f, local, counts):
+        """``local`` and ``counts`` hold this call's other nodes and its
+        count products."""
+        memo = self.memo if f.op == "and" else local
+        out = memo.get(f)
+        if out is not None:
+            return out
         if f.op == "eq":
             out = np.eye(self.n, dtype=bool)
         elif f.op == "adj":
             out = self.adj
         elif f.op == "not":
-            out = ~self.matrix(f.parts[0])
+            out = ~self._value(f.parts[0], local, counts)
         elif f.op == "and":
-            out = self.matrix(f.parts[0]).copy()
+            out = self._value(f.parts[0], local, counts).copy()
             for p in f.parts[1:]:
-                out &= self.matrix(p)
+                out &= self._value(p, local, counts)
         else:  # walk quantifier
-            k = len(f.parts)
-            tuples = self.n ** (k - 1)
-            if tuples > self.budget.max_tuples_per_quantifier:
-                raise BudgetExceeded(
-                    f"evaluation budget exceeded: quantifier ranges over "
-                    f"{tuples} interior tuples > "
-                    f"{self.budget.max_tuples_per_quantifier}"
-                )
-            # walk counts between endpoints = product of the parts' boolean
-            # matrices; counts stay below n^(k-1) <= the tuple budget, so
-            # int64 arithmetic is exact
-            counts = self.matrix(f.parts[0]).astype(np.int64)
-            for p in f.parts[1:]:
-                counts = counts @ self.matrix(p).astype(np.int64)
-            out = counts >= f.j
-        if self.memo is not None:
-            self.memo[id(f)] = out
+            walks = counts.get(f.parts)
+            if walks is None:
+                # walk counts between endpoints: the product of the parts'
+                # boolean matrices; counts stay below n^(k-1), which the
+                # tuple budget bounds, so int64 arithmetic is exact
+                mats = [self._value(p, local, counts) for p in f.parts]
+                walks = mats[0].astype(np.int64)
+                for m in mats[1:]:
+                    walks = walks @ m.astype(np.int64)
+                counts[f.parts] = walks
+            out = walks >= f.j
+        memo[f] = _read_only(out)
         return out
 
 
+# graph -> its Evaluator; an equal graph finds it too, for as long as the
+# graph it was made for lives
+_EVALUATORS = weakref.WeakKeyDictionary()
+
+
 def eval_matrix(
-    f: WalkFormula,
-    g: SimpleGraph,
-    budget: EvalBudget | None = None,
-    memoize: bool = True,
+    f: WalkFormula, g: SimpleGraph, budget: EvalBudget | None = None
 ) -> np.ndarray:
-    """Boolean n x n matrix of the formula's truth value on every pair."""
-    state = _EvalState(g, budget or EvalBudget(), memoize)
-    return state.matrix(f)
+    """Read-only boolean n x n matrix of the formula's truth value on
+    every pair, from the graph's shared evaluator."""
+    (budget or EvalBudget()).check(f, g.n)
+    ev = _EVALUATORS.get(g)
+    if ev is None:
+        ev = _EVALUATORS[g] = Evaluator(g)
+    return ev.matrix(f)
 
 
 def eval_formula(
@@ -202,10 +258,9 @@ def eval_formula(
     u: int,
     v: int,
     budget: EvalBudget | None = None,
-    memoize: bool = True,
 ) -> bool:
     """Truth value of the formula on the pair (u, v)."""
-    return bool(eval_matrix(f, g, budget, memoize)[u, v])
+    return bool(eval_matrix(f, g, budget)[u, v])
 
 
 def eval_sentence(
@@ -258,14 +313,6 @@ def class_formulas(history) -> dict:
                 conj.append(not_(walk_quant(j + 1, parts)))
             formulas[base + label] = and_(conj)
     return formulas
-
-
-def synth_color_formula(history: RefinementHistory, color_class: int) -> WalkFormula:
-    """Formula identifying one interned class id of a recorded k-walk run."""
-    table = class_formulas(history)
-    if color_class not in table:
-        raise ValueError(f"class {color_class} does not occur in the history")
-    return table[color_class]
 
 
 def _color_counts(tables) -> list:
@@ -470,6 +517,7 @@ def parse_sexpr(text: str) -> WalkFormula:
 __all__ = [
     "WalkFormula",
     "EvalBudget",
+    "Evaluator",
     "EQ",
     "ADJ",
     "TOP",
@@ -480,7 +528,6 @@ __all__ = [
     "eval_formula",
     "eval_sentence",
     "class_formulas",
-    "synth_color_formula",
     "synth_distinguishing_sentence",
     "to_sexpr",
     "parse_sexpr",

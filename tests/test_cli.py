@@ -319,10 +319,19 @@ class TestUsageErrors:
          "error: --n-min 0 is below 2\n"),
         (["refine", "--graph", "{plain}", "--kind", "kwalk", "--k", "3",
           "--seed", "-1"], "error: --seed -1 is below 0\n"),
+        (["gen", "--grid", "257"], "error: --grid 257 is above 256\n"),
+        (["verify-duplicator", "--grid", "257", "--k", "3",
+          "--scenario", "opening"], "error: --grid 257 is above 256\n"),
+        (["lower-bound", "--n-values", "4,257"],
+         "error: --n-values 257 is above 256\n"),
+        (["remark", "--n-min", "3", "--n-max", "257"],
+         "error: --n-max 257 is above 256\n"),
     ], ids=["refine-max-iters", "distinguish-max-iters", "remark-range",
             "n-values-decreasing", "n-values-repeated", "gen-grid",
             "duplicator-grid", "refine-k", "distinguish-k", "duplicator-k",
-            "formula-k", "n-values-small", "remark-n-min", "negative-seed"])
+            "formula-k", "n-values-small", "remark-n-min", "negative-seed",
+            "gen-grid-large", "duplicator-grid-large", "n-values-large",
+            "remark-n-max-large"])
     def test_rejected_before_any_work(self, capsys, monkeypatch, cfi_pair,
                                       argv, message):
         import walkref.cli as cli

@@ -18,7 +18,6 @@ from walkref.graph_core import (
     group_rows,
     initial_coloring,
     load_graph_json,
-    partition_of,
 )
 from walkref.refinement import Workspace
 
@@ -145,14 +144,14 @@ class TestPairPartition:
         q = PairPartition((2,), [0, 0, 8, 9])
         assert p == q and hash(p) == hash(q)
 
-    def test_block_and_class_of(self):
+    def test_block(self):
         c = initial_coloring(cycle(3))
-        p = partition_of(c)
-        assert p.class_of(0, 1, 1) == p.class_of(0, 2, 2)
+        p = PairPartition.from_colorings([c])
+        assert p.block(0)[1, 1] == p.block(0)[2, 2]
         assert p.block(0).shape == (3, 3)
 
     def test_color_multiset(self):
-        p = partition_of(initial_coloring(cycle(4)))
+        p = PairPartition.from_colorings([initial_coloring(cycle(4))])
         counts = dict(p.color_multiset(0))
         assert counts == {0: 4, 1: 8, 2: 4}
 

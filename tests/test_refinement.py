@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from walkref.algebra import (
 from walkref.cfi import build_cfi, default_twist, grid_base
 from walkref.graph_core import (
     BudgetExceeded,
+    ColoredCompleteGraph,
     PairPartition,
     PartitionOrder,
     SimpleGraph,
@@ -22,6 +24,7 @@ from walkref.graph_core import (
 from walkref import algebra, refinement
 from walkref.refinement import (
     RefinementKind,
+    WalkRecord,
     Workspace,
     iterations_to_distinguish,
     k_walk_step,
@@ -30,6 +33,7 @@ from walkref.refinement import (
     walk_step,
     wl_step,
 )
+from test_algebra import colorings
 
 
 def cycle(n):
@@ -350,11 +354,87 @@ class TestDistinguish:
         assert m_walk <= m_wl
 
 
+def reference_naive_k_walk_step(ws, k):
+    """The k-walk step as a Python loop over every walk: the reference
+    for the numpy enumeration of ``naive_k_walk_step``."""
+    prev_tables = [c.color.copy() for c in ws.colorings]
+    per_pair = []  # aligned with universe order: dict seq -> count
+    for c in ws.colorings:
+        table, n = c.color, c.n
+        for u in range(n):
+            for v in range(n):
+                counts = {}
+                for mids in itertools.product(range(n), repeat=k - 1):
+                    walk = (u, *mids, v)
+                    seq = tuple(
+                        int(table[walk[i], walk[i + 1]]) for i in range(k)
+                    )
+                    counts[seq] = counts.get(seq, 0) + 1
+                per_pair.append(counts)
+    sigs = [tuple(sorted(d.items())) for d in per_pair]
+    seen = {}
+    labels = np.array([seen.setdefault(s, len(seen)) for s in sigs],
+                      dtype=np.int64)
+    labels = refinement._install_labels(ws, labels)
+    class_multisets = {}
+    for lab, counts in zip(labels.tolist(), per_pair):
+        class_multisets.setdefault(lab, counts)
+    return WalkRecord(
+        k=k,
+        prev_tables=prev_tables,
+        new_tables=[c.color.copy() for c in ws.colorings],
+        class_multisets=class_multisets,
+    )
+
+
+def assert_same_records(cs, k):
+    a = Workspace([c.copy() for c in cs])
+    b = Workspace([c.copy() for c in cs])
+    got, want = naive_k_walk_step(a, k), reference_naive_k_walk_step(b, k)
+    assert len(got.new_tables) == len(want.new_tables)
+    for x, y in zip(got.new_tables, want.new_tables):
+        assert np.array_equal(x, y)
+    assert got.class_multisets == want.class_multisets
+    assert a.next_class_id == b.next_class_id
+
+
+class TestNaiveEnumeration:
+    @given(colorings(), st.integers(2, 4))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_python_reference(self, cs, k):
+        assert_same_records(cs, k)
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64])
+    def test_chunks_split_first_vertices(self, monkeypatch, chunk):
+        # small chunks make one first vertex span several of them
+        monkeypatch.setattr(refinement, "_WALKS_PER_CHUNK", chunk)
+        assert_same_records(Workspace.from_graphs(
+            [cycle(6), two_triangles()]).colorings, 4)
+        assert_same_records(Workspace.from_graphs(random_graph(5, 2))
+                            .colorings, 3)
+
+    def test_more_levels_than_numpy_dimensions(self):
+        # numpy arrays have at most 64 dimensions
+        ws = Workspace.from_graphs(SimpleGraph.from_edges(1, []))
+        rec = naive_k_walk_step(ws, 70)
+        assert rec.class_multisets == {0: {(0,) * 70: 1}}
+        assert rec.new_tables[0].tolist() == [[3]]
+
+    def test_key_range_refused(self):
+        # keys of 2 vertices, 3 colours and k = 40 reach 4 * 3^40 > 2^63
+        ws = Workspace([ColoredCompleteGraph(2, np.array([[0, 1], [2, 0]]))])
+        with pytest.raises(BudgetExceeded, match="exceed int64"):
+            naive_k_walk_step(ws, 40, budget=10**15)
+
+
 class TestNaiveBudget:
     def test_budget_enforced(self):
         ws = Workspace.from_graphs(random_graph(10, 1))
-        with pytest.raises(ValueError):
+        before = ws.colorings[0].color.copy()
+        with pytest.raises(BudgetExceeded, match=r"\Anaive enumeration "
+                           r"needs 8000000000 steps > budget 10000000\Z"):
             naive_k_walk_step(ws, 8)
+        assert np.array_equal(ws.colorings[0].color, before)
 
 
 class TestWlBudget:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from walkref.cfi import build_cfi, default_twist, grid_base
-from walkref.graph_core import SimpleGraph
+from walkref.graph_core import BudgetExceeded, SimpleGraph
 from walkref.refinement import (
     RefinementKind,
     Workspace,
@@ -26,7 +26,6 @@ from walkref.walk_logic import (
     eval_sentence,
     not_,
     parse_sexpr,
-    synth_color_formula,
     synth_distinguishing_sentence,
     to_sexpr,
     walk_quant,
@@ -38,6 +37,25 @@ def random_graph(n, seed, p=0.4):
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if rng.random() < p]
     return SimpleGraph.from_edges(n, edges)
+
+
+def reference_matrix(f, g):
+    """Memo-free recursive evaluation: the reference for eval_matrix."""
+    if f.op == "eq":
+        return np.eye(g.n, dtype=bool)
+    if f.op == "adj":
+        return g.adjacency().astype(bool)
+    if f.op == "not":
+        return ~reference_matrix(f.parts[0], g)
+    if f.op == "and":
+        out = np.ones((g.n, g.n), dtype=bool)
+        for p in f.parts:
+            out &= reference_matrix(p, g)
+        return out
+    counts = np.eye(g.n, dtype=np.int64)
+    for p in f.parts:
+        counts = counts @ reference_matrix(p, g).astype(np.int64)
+    return counts >= f.j
 
 
 def formulas():
@@ -91,10 +109,46 @@ class TestEval:
     def test_memoization_transparent(self, f, seed):
         g = random_graph(5, seed)
         big = EvalBudget(10**7, 10**6)
-        assert np.array_equal(
-            eval_matrix(f, g, big, memoize=True),
-            eval_matrix(f, g, big, memoize=False),
-        )
+        assert np.array_equal(eval_matrix(f, g, big), reference_matrix(f, g))
+
+    def test_formulas_dropped_in_a_loop_read_fresh(self):
+        # each round builds and drops its formulas, so ids are reused
+        g = random_graph(6, 3)
+        a = g.adjacency()
+        for j in range(1, 30):
+            inner = and_([not_(EQ), walk_quant(j % 4 + 1, [ADJ, ADJ])])
+            f = and_([walk_quant(j % 7 + 1, [ADJ, inner, ADJ]), not_(ADJ)])
+            assert np.array_equal(eval_matrix(f, g), reference_matrix(f, g))
+            del inner, f
+        assert np.array_equal(eval_matrix(walk_quant(2, [ADJ, ADJ]), g),
+                              a @ a >= 2)
+
+    def test_equal_graphs_give_equal_results(self):
+        g = random_graph(6, 4)
+        twin = SimpleGraph.from_edges(6, sorted(g.edges))
+        assert twin == g and twin is not g
+        f = walk_quant(2, [ADJ, not_(ADJ), ADJ])
+        assert np.array_equal(eval_matrix(f, g), eval_matrix(f, twin))
+        assert np.array_equal(eval_matrix(f, twin), reference_matrix(f, g))
+
+    def test_results_are_read_only(self):
+        g = random_graph(5, 2)
+        f = walk_quant(1, [ADJ, ADJ])
+        for h in (EQ, ADJ, not_(ADJ), and_([ADJ, f]), f):
+            with pytest.raises(ValueError):
+                eval_matrix(h, g)[0, 0] = True
+        assert np.array_equal(eval_matrix(f, g), reference_matrix(f, g))
+
+    def test_memoized_formula_still_refused(self):
+        g = random_graph(8, 1)
+        f = and_([not_(ADJ), walk_quant(1, [ADJ, not_(EQ), ADJ])])
+        eval_matrix(f, g, EvalBudget(10**7, 10**6))
+        with pytest.raises(BudgetExceeded):
+            eval_matrix(f, g, EvalBudget(max_node_evals=2))
+        with pytest.raises(BudgetExceeded):
+            eval_matrix(f, g, EvalBudget(max_tuples_per_quantifier=63))
+        # the widest quantifier ranges over 8^2 = 64 tuples
+        assert eval_matrix(f, g, EvalBudget(64, f.dag_size)).shape == (8, 8)
 
     def test_budget_guards(self):
         g = random_graph(8, 1)
@@ -167,7 +221,7 @@ class TestSynthesis:
         hist = stabilize(ws, RefinementKind.kwalk(2),
                          record_walk_multisets=True)
         mid = int(hist.walk_records[0].new_tables[0][1, 1])
-        f = synth_color_formula(hist, mid)
+        f = class_formulas(hist)[mid]
         assert f.quantifier_depth == 1
         truth = eval_matrix(f, p3)
         assert truth[1, 1] and truth.sum() == 1
@@ -209,8 +263,8 @@ class TestSynthesis:
         ws = Workspace.from_graphs(random_graph(4, 0))
         hist = stabilize(ws, RefinementKind.kwalk(3),
                          record_walk_multisets=True)
-        with pytest.raises(ValueError):
-            synth_color_formula(hist, 10**9)
+        with pytest.raises(KeyError):
+            class_formulas(hist)[10**9]
 
 
 class TestDistinguishingSentence:
