@@ -1,7 +1,8 @@
 """Command-line interface: generators, refinement runs, and experiments.
 
 Exit codes: 0 on success / all verdicts passing, 1 on a property failure
-(a verdict is false or a run cannot satisfy its precondition), 2 on usage
+(a verdict is false or a run cannot satisfy its precondition) or when
+stdout closes before the output is written (``BrokenPipeError``), 2 on usage
 errors (bad flags, unreadable or oversized inputs), 3 when the two
 prime-field algebra runs disagree (``AlgebraCrossCheckError``), so no
 result is trusted, and 4 when a computation is refused because it would
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -367,6 +369,11 @@ def main(argv=None) -> int:
     except AlgebraCrossCheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader left: send what is still buffered to devnull, so the
+        # interpreter's final flush of stdout cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

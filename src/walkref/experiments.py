@@ -333,9 +333,10 @@ def run_property_suite(*, seeds=tuple(range(12)), n_max: int = 7,
             if ws_a.partition() != ws_b.partition():
                 oracle_ok = False
             if k == 2:
+                # WL against the naive 2-walk enumeration, not the sampler
                 ws_c = Workspace.from_graphs(g)
                 wl_step(ws_c)
-                if ws_a.partition() != ws_c.partition():
+                if ws_b.partition() != ws_c.partition():
                     wl_ok = False
 
     simulation_ok = True

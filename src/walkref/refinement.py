@@ -36,7 +36,6 @@ from .graph_core import (
 )
 
 NAIVE_WALK_BUDGET = 10**7
-WL_ENTRY_BUDGET = 2**24  # n^3 per graph in one wl_step: n <= 256
 EXACT_METHOD_MAX_VERTICES = 40  # above this: sampled walk steps, no rationals
 ARITH_MODES = ("prime", "prime2", "rational")
 
@@ -162,28 +161,19 @@ class RefinementHistory:
 # single steps
 
 
-def wl_step(ws: Workspace) -> None:
+def wl_step(ws: Workspace, seed: int = 0) -> None:
     """One 2-dim Weisfeiler-Leman step: recolor each pair (u, v) by the
     multiset over w of color pairs (chi(u, w), chi(w, v)).
 
-    Builds an (n, n, n) int64 array per graph: at the 256 vertices that
-    ``WL_ENTRY_BUDGET`` = 2^24 entries allows, that array takes 128 MiB and
-    the step peaks near 420 MiB.  A larger graph is refused with
-    ``BudgetExceeded`` before anything is allocated.
+    That multiset counts the 2-step walks of each color sequence, so this
+    is the 2-walk step, sampled at every size (see ``_span_labels``) over
+    both primes, whatever arithmetic the run uses.  Its error is
+    one-sided: it never splits a class, and it gives two coordinates
+    whose signatures differ one color with probability at most (2/p)^3
+    per prime, independently over both primes.  ``stabilize`` passes
+    each iteration's seed.
     """
-    for c in ws.colorings:
-        if c.n**3 > WL_ENTRY_BUDGET:
-            raise BudgetExceeded(
-                f"a WL step on {c.n} vertices needs {c.n**3} entries > "
-                f"budget {WL_ENTRY_BUDGET}"
-            )
-    shift = int(max(c.color.max() for c in ws.colorings)) + 1
-    rows = []
-    for c in ws.colorings:
-        s = c.color[:, None, :] * shift + c.color.T[None, :, :]
-        s.sort(axis=2)
-        rows.append(s.reshape(c.n * c.n, c.n))
-    labels = _joint_row_labels(rows)
+    labels, _ = _span_labels(ws, 2, seed=seed)
     _install_labels(ws, labels)
 
 
@@ -365,15 +355,16 @@ def _span_labels(ws, k, *, seed, want_dim=False, arith="prime2"):
     any, ``want_dim``      whole-algebra closure  whole-algebra closure
     walk                   whole-algebra closure  sampler, windowed
     k-walk                 sampler, k lengths     sampler, k lengths
+    WL (k = 2)             sampler, 2 lengths     sampler, 2 lengths
     =====================  =====================  =========================
 
-    A k-walk step runs all k lengths, so its only error is the one-sided
-    Schwartz-Zippel bound of ``sampled_span_profile``.  A walk step has no
-    length to run to: the sampler stops it on its heuristic window
-    (``algebra._STOP_WINDOW``), which the slower exact closure replaces up
-    to 40 vertices.  Rational arithmetic is refused above 40 vertices; its
-    k-walk steps sample over both primes, as under ``prime2``, which also
-    checks ranks on both.
+    A k-walk step, WL's among them, runs all k lengths, so its only error
+    is the one-sided Schwartz-Zippel bound of ``sampled_span_profile``.
+    A walk step has no length to run to: the sampler stops it on its
+    heuristic window (``algebra._STOP_WINDOW``), which the slower exact
+    closure replaces up to 40 vertices.  Rational arithmetic is refused
+    above 40 vertices; its k-walk steps sample over both primes, as under
+    ``prime2``, which also checks ranks on both.
 
     Both engines see a joint pair as its ``ws.sizes`` diagonal blocks, so
     a product costs n_1^3 + n_2^3, not (n_1 + n_2)^3, and they label the
@@ -404,24 +395,6 @@ def _span_labels(ws, k, *, seed, want_dim=False, arith="prime2"):
     return prof.labels, None
 
 
-def _joint_row_labels(rows_per_graph):
-    """Labels for per-pair signature rows, shared across equal-width groups."""
-    labels = [None] * len(rows_per_graph)
-    offset = 0
-    widths = sorted({r.shape[1] for r in rows_per_graph})
-    for w in widths:
-        tags = [t for t, r in enumerate(rows_per_graph) if r.shape[1] == w]
-        stacked = np.vstack([rows_per_graph[t] for t in tags])
-        inverse = group_rows(stacked) + offset
-        offset = int(inverse.max()) + 1
-        pos = 0
-        for t in tags:
-            m = rows_per_graph[t].shape[0]
-            labels[t] = inverse[pos : pos + m]
-            pos += m
-    return np.concatenate([labels[t] for t in range(len(rows_per_graph))])
-
-
 def _install_labels(ws: Workspace, labels: np.ndarray) -> np.ndarray:
     """Mint fresh class colors for canonical labels and write the new color
     tables.  Returns the canonical labels."""
@@ -450,8 +423,8 @@ def stabilize(
 ) -> RefinementHistory:
     """Iterate one refinement kind until the partition stops changing.
 
-    ``seed`` drives the sampler: every k-walk step without walk-count
-    records, and walk steps without dims above 40 vertices.
+    ``seed`` drives the sampler: every WL step, every k-walk step without
+    walk-count records, and walk steps without dims above 40 vertices.
     """
     if record_walk_multisets and kind.name != "kwalk":
         raise ValueError("walk multiset recording needs an explicit k")
@@ -472,7 +445,7 @@ def stabilize(
                 _, dim = _span_labels(ws, None, seed=it_seed, want_dim=True,
                                       arith=arith)
             if kind.name == "wl":
-                wl_step(ws)
+                wl_step(ws, seed=it_seed)
             elif record_walk_multisets:
                 walk_records.append(naive_k_walk_step(ws, kind.k))
             else:
@@ -526,7 +499,6 @@ def iterations_to_distinguish(
 
 __all__ = [
     "NAIVE_WALK_BUDGET",
-    "WL_ENTRY_BUDGET",
     "ARITH_MODES",
     "RefinementKind",
     "Workspace",

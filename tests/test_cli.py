@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from walkref.cli import main
 from walkref.graph_core import MAX_GRAPH_VERTICES, load_graph_json
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -41,6 +47,21 @@ class TestGen:
         assert code == 0
         assert load_graph_json(out).n == 19
 
+    def test_closed_stdout(self):
+        # grid 256 prints 213 kB, more than a pipe holds, so the write is
+        # still pending when the reader closes the pipe
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "walkref.cli", "gen", "--grid", "256"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == ""
+
 
 class TestRefineDistinguish:
     def test_refine_wl(self, capsys, cfi_pair):
@@ -70,6 +91,27 @@ class TestRefineDistinguish:
         assert json.loads(out) == {"kind": "walk", "k": None,
                                    "distinguishing_iterations": 0,
                                    "distinguished": True}
+
+    def test_wl_cycle_600(self, capsys, tmp_path):
+        # above the 256 vertices that WL's old (n, n, n) array allowed
+        path = tmp_path / "cycle.json"
+        path.write_text(json.dumps(
+            {"n": 600, "edges": [[i, i + 1] for i in range(599)] + [[0, 599]]}))
+        code, out = run(capsys, "refine", "--graph", str(path), "--kind", "wl")
+        assert code == 0
+        assert json.loads(out)["classes_per_iteration"][-1] == 301
+
+    def test_wl_ignores_arith(self, capsys, tmp_path):
+        # CFI-6: 43 vertices, above the 40 that rational arithmetic allows
+        path = tmp_path / "g6.json"
+        assert main(["gen", "--grid", "6", "--out", str(path)]) == 0
+        outs = []
+        for arith in ("rational", "prime2"):
+            code, out = run(capsys, "refine", "--graph", str(path),
+                            "--kind", "wl", "--arith", arith)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
 
     def test_kwalk_requires_k(self, capsys, cfi_pair):
         plain, _ = cfi_pair
@@ -204,15 +246,6 @@ class TestUsageErrors:
         assert code == 4
         assert err.startswith("error: naive enumeration needs")
         assert "Traceback" not in err
-
-    def test_wl_budget_refusal(self, capsys, tmp_path):
-        path = tmp_path / "cycle.json"
-        path.write_text(json.dumps(
-            {"n": 600, "edges": [[i, i + 1] for i in range(599)] + [[0, 599]]}))
-        code = main(["refine", "--graph", str(path), "--kind", "wl"])
-        err = capsys.readouterr().err
-        assert code == 4
-        assert err.startswith("error: a WL step on 600 vertices needs")
 
     def test_csv_unsupported_command(self, cfi_pair):
         plain, _ = cfi_pair

@@ -20,6 +20,7 @@ from walkref.graph_core import (
     SimpleGraph,
     check_invariants,
     compare_partitions,
+    group_rows,
 )
 from walkref import algebra, refinement
 from walkref.refinement import (
@@ -65,6 +66,26 @@ def small_graphs(draw):
     return random_graph(n, seed)
 
 
+def reference_wl_step(ws):
+    """The 2-walk step by sorting: each pair's row is its own color, then
+    the sorted color pairs (chi(u, w), chi(w, v)) over w, padded with -1
+    to the widest graph.  Builds an (n, n, n) array per graph: the
+    reference for the sampler's ``wl_step`` at desk scale.  The own color
+    leads the row because a coloring need not tell loops from other
+    pairs by color, and then the pairs alone may not refine it."""
+    shift = int(max(c.color.max() for c in ws.colorings)) + 1
+    width = 1 + max(ws.sizes)
+    rows = []
+    for c in ws.colorings:
+        s = c.color[:, None, :] * shift + c.color.T[None, :, :]
+        s.sort(axis=2)
+        row = np.full((c.n * c.n, width), -1, dtype=np.int64)
+        row[:, 0] = c.color.ravel()
+        row[:, 1 : 1 + c.n] = s.reshape(c.n * c.n, c.n)
+        rows.append(row)
+    refinement._install_labels(ws, group_rows(np.vstack(rows)))
+
+
 class TestKindValidation:
     def test_k_required(self):
         with pytest.raises(ValueError):
@@ -82,8 +103,19 @@ class TestStepAgreement:
     def test_wl_equals_2walk(self, seed):
         g = random_graph(6, seed)
         a, b = Workspace.from_graphs(g), Workspace.from_graphs(g)
-        wl_step(a)
+        reference_wl_step(a)
         k_walk_step(b, 2)
+        assert a.partition() == b.partition()
+
+    @given(colorings(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_wl_matches_sort_reference(self, cs, seed):
+        """Single colorings and joint pairs: the sampled WL step against
+        the sort-based one."""
+        a = Workspace([c.copy() for c in cs])
+        b = Workspace([c.copy() for c in cs])
+        wl_step(a, seed=seed)
+        reference_wl_step(b)
         assert a.partition() == b.partition()
 
     @pytest.mark.parametrize("k", [2, 3, 4])
@@ -437,21 +469,24 @@ class TestNaiveBudget:
         assert np.array_equal(ws.colorings[0].color, before)
 
 
-class TestWlBudget:
-    def test_large_graph_refused_before_allocating(self):
-        # 600^3 entries exceed WL_ENTRY_BUDGET; the signature array alone
-        # would take 1.6 GiB
+class TestWlAtSize:
+    """WL steps hold O(n^2) memory, so graphs above the 256 vertices that
+    an (n, n, n) signature array allowed refine as well."""
+
+    def test_cycle_300_distance_classes(self):
+        hist = stabilize(Workspace.from_graphs(cycle(300)), RefinementKind.wl())
+        assert hist.iterations == 9
+        assert hist.stable_partition.num_classes == 151
+
+    def test_cycle_600_step_memory(self):
+        # the (n, n, n) int64 signature array alone would take 1.6 GiB
         ws = Workspace.from_graphs(cycle(600))
-        before = ws.colorings[0].color.copy()
         tracemalloc.start()
         try:
-            with pytest.raises(BudgetExceeded, match="WL step on 600"):
-                wl_step(ws)
+            wl_step(ws)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2**20
-        assert np.array_equal(ws.colorings[0].color, before)
-
-    def test_largest_allowed_size(self):
-        assert 256**3 <= refinement.WL_ENTRY_BUDGET < 257**3
+        assert peak < 128 * 2**20
+        # distances 0, 1, 2 and at least 3
+        assert ws.partition().num_classes == 4
