@@ -36,13 +36,13 @@ class BaseGraph:
     incident: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not _connected(self.graph):
-            raise ValueError("base graph must be connected")
         inc = []
         for v in range(self.graph.n):
             # ascending neighbor id fixes "the i-th edge incident to v"
             inc.append(tuple(_norm_edge((v, w)) for w in self.graph.neighbors(v)))
         object.__setattr__(self, "incident", tuple(inc))
+        if len(self.components()) > 1:
+            raise ValueError("base graph must be connected")
 
     @property
     def n(self) -> int:
@@ -58,6 +58,27 @@ class BaseGraph:
     def edge_position(self, v: int, e) -> int:
         """Index of base edge e in v's incident-edge order."""
         return self.incident[v].index(_norm_edge(e))
+
+    def components(self, removed=()):
+        """Sorted vertex lists of the connected components of the base
+        graph minus ``removed``, ordered by smallest vertex."""
+        seen = set(removed)
+        out = []
+        for root in range(self.n):
+            if root in seen:
+                continue
+            seen.add(root)
+            members, stack = [root], [root]
+            while stack:
+                u = stack.pop()
+                for e in self.incident[u]:
+                    w = e[0] if e[1] == u else e[1]
+                    if w not in seen:
+                        seen.add(w)
+                        members.append(w)
+                        stack.append(w)
+            out.append(sorted(members))
+        return out
 
     def edge_adjacency(self, e):
         """Base edges sharing an endpoint with e, with the shared vertex."""
@@ -192,98 +213,34 @@ def edge_path(base: BaseGraph, e_from, e_to, forbidden=frozenset()):
     raise ValueError(f"no pebble-free edge path from {e_from} to {e_to}")
 
 
-def flip_masks_for_path(base: BaseGraph, path):
-    """Per-base-vertex coordinate flip masks realizing a twist move.
-
-    At each vertex shared by consecutive path edges, the bit positions of
-    those two edges are flipped; flipping two coordinates preserves parity,
-    so gadget vertices map to gadget vertices.
-    """
-    masks = {}
-    for e, f in zip(path, path[1:]):
-        shared = (set(e) & set(f)).pop()
-        mask = list(masks.get(shared, (0,) * base.degree(shared)))
-        for g in (e, f):
-            mask[base.edge_position(shared, g)] ^= 1
-        masks[shared] = tuple(mask)
-    return masks
-
-
-def apply_flip_masks(cfi: CfiGraph, masks) -> np.ndarray:
-    """Vertex permutation induced by per-gadget coordinate flips."""
-    perm = np.arange(cfi.n, dtype=np.int64)
-    for x, (bv, parity) in enumerate(cfi.vertex_origin):
-        mask = masks.get(bv)
-        if mask:
-            flipped = tuple(b ^ m for b, m in zip(parity, mask))
-            perm[x] = cfi.vertex_id(bv, flipped)
-    return perm
-
-
 def move_twist_automorphism(
-    base: BaseGraph, e_from, e_to, forbidden=frozenset()
+    cfi: CfiGraph, e_from, e_to, forbidden=frozenset()
 ) -> np.ndarray:
     """Gadget-vertex bijection that moves a twist from e_from to e_to.
 
+    Follows ``edge_path`` through vertices outside ``forbidden``: at each
+    vertex shared by consecutive path edges it flips the bits of those two
+    edges, which keeps parity, so gadget vertices map to gadget vertices.
     Returned as a permutation array over the (twist-independent) CFI vertex
     set.  Viewed as a map from the twist-at-e_from replacement to the
     untwisted one, it preserves adjacency except on pairs originating from
     e_to; equivalently it certifies that twisting e_from and twisting e_to
     give isomorphic graphs.
     """
+    base = cfi.base
     path = edge_path(base, e_from, e_to, forbidden)
-    masks = flip_masks_for_path(base, path)
-    return apply_flip_masks(build_cfi(base), masks)
-
-
-def verify_twist_location(phi, g_from: CfiGraph, g_to: CfiGraph):
-    """Exhaustively find the base edges on which phi inverts adjacency.
-
-    Scans all vertex pairs of ``g_from`` against their images in ``g_to``
-    and returns the set of base edges whose origin pairs are all inverted.
-    Raises if some base edge is inverted on only part of its origin pairs,
-    or if any pair outside an edge origin changes adjacency.
-    """
-    if g_from.n != g_to.n or g_from.base.graph != g_to.base.graph:
-        raise ValueError("CFI graphs must share the base graph")
-    perm = np.asarray(phi, dtype=np.int64)
-    a = g_from.graph.adjacency()
-    b = g_to.graph.adjacency()[np.ix_(perm, perm)]
-    diff = a != b
-    inverted = set()
-    for e in g_from.base.edges:
-        u, v = e
-        block = diff[np.ix_(list(g_from.gadget(u)), list(g_from.gadget(v)))]
-        if block.all():
-            inverted.add(e)
-        elif block.any():
-            raise ValueError(f"adjacency inverted on part of origin {e}")
-        diff[np.ix_(list(g_from.gadget(u)), list(g_from.gadget(v)))] = False
-        diff[np.ix_(list(g_from.gadget(v)), list(g_from.gadget(u)))] = False
-    if diff.any():
-        x, y = map(int, np.argwhere(diff)[0])
-        raise ValueError(
-            f"adjacency changed outside edge origins, e.g. pair ({x}, {y})"
-        )
-    return inverted
-
-
-def _connected(g: SimpleGraph) -> bool:
-    if g.n == 0:
-        return True
-    seen = {0}
-    queue = deque([0])
-    adj = {v: [] for v in range(g.n)}
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == g.n
+    masks = {}
+    for e, f in zip(path, path[1:]):
+        shared = (set(e) & set(f)).pop()
+        mask = masks.setdefault(shared, [0] * base.degree(shared))
+        for g in (e, f):
+            mask[base.edge_position(shared, g)] ^= 1
+    perm = np.arange(cfi.n, dtype=np.int64)
+    for x, (bv, parity) in enumerate(cfi.vertex_origin):
+        if bv in masks:
+            flipped = tuple(b ^ m for b, m in zip(parity, masks[bv]))
+            perm[x] = cfi.vertex_id(bv, flipped)
+    return perm
 
 
 __all__ = [
@@ -295,8 +252,5 @@ __all__ = [
     "default_twist",
     "build_cfi",
     "edge_path",
-    "flip_masks_for_path",
-    "apply_flip_masks",
     "move_twist_automorphism",
-    "verify_twist_location",
 ]

@@ -3,11 +3,12 @@
 Exit codes: 0 on success / all verdicts passing, 1 on a property failure
 (a verdict is false or a run cannot satisfy its precondition) or when
 stdout closes before the output is written (``BrokenPipeError``), 2 on usage
-errors (bad flags, unreadable or oversized inputs), 3 when the two
-prime-field algebra runs disagree (``AlgebraCrossCheckError``), so no
-result is trusted, and 4 when a computation is refused because it would
-exceed its work budget (``BudgetExceeded``: naive walk enumeration,
-formula evaluation, Duplicator verification).
+errors (bad flags, a ``--column`` with no Duplicator scenario, unreadable or
+oversized inputs), 3 when the two prime-field algebra runs disagree
+(``AlgebraCrossCheckError``), so no result is trusted, and 4 when a
+computation is refused because it would exceed its work budget
+(``BudgetExceeded``: naive walk enumeration, formula evaluation, Duplicator
+verification).
 """
 
 from __future__ import annotations
@@ -228,15 +229,15 @@ def _cmd_verify_duplicator(args) -> int:
     base = grid_base(args.grid)
     twist = default_twist(base)
     g_plain, g_twisted = build_cfi(base), build_cfi(base, twist)
-    if args.scenario == "wall-adjacent":
-        scen = wall_adjacent_scenario(base, twist, args.column, args.k)
-    elif args.scenario == "wall-nonadjacent":
-        scen = wall_nonadjacent_scenario(base, twist, args.column, args.k)
-    else:
-        try:
+    try:
+        if args.scenario == "wall-adjacent":
+            scen = wall_adjacent_scenario(base, twist, args.column, args.k)
+        elif args.scenario == "wall-nonadjacent":
+            scen = wall_nonadjacent_scenario(base, twist, args.column, args.k)
+        else:
             scen = opening_scenario(base, twist, args.k)
-        except NoScenarioError as exc:
-            raise UsageError(str(exc)) from exc
+    except NoScenarioError as exc:
+        raise UsageError(str(exc)) from exc
     bij = duplicator_bijection(g_plain, g_twisted, scen.pebbles,
                                scen.v, scen.e1, scen.e2)
     safe, counterexample = verify_round_safe(

@@ -24,14 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cfi import (
-    BaseGraph,
-    CfiGraph,
-    _norm_edge,
-    apply_flip_masks,
-    edge_path,
-    flip_masks_for_path,
-)
+from .cfi import BaseGraph, CfiGraph, _norm_edge, move_twist_automorphism
 from .graph_core import BudgetExceeded
 
 TUPLE_BUDGET = 10**7
@@ -98,25 +91,13 @@ def twisted_components(base: BaseGraph, pebbled, twist) -> ComponentStructure:
     if twist not in base.graph.edges:
         raise ValueError(f"twist {twist} is not a base edge")
     pebbled = frozenset(pebbled)
-    parent = {e: e for e in base.edges}
-
-    def find(e):
-        while parent[e] != e:
-            parent[e] = parent[parent[e]]
-            e = parent[e]
-        return e
-
-    for v in range(base.n):
-        if v in pebbled:
-            continue
-        inc = base.incident[v]
-        for f in inc[1:]:
-            parent[find(f)] = find(inc[0])
-    groups = {}
-    for e in base.edges:
-        groups.setdefault(find(e), set()).add(e)
+    # every edge touching a component of unpebbled vertices, and each
+    # edge between two pebbled vertices on its own
+    groups = [{e for v in comp for e in base.incident[v]}
+              for comp in base.components(pebbled)]
+    groups += [{e} for e in base.edges if pebbled.issuperset(e)]
     components = []
-    for edges in groups.values():
+    for edges in groups:
         contained = frozenset(
             v
             for v in range(base.n)
@@ -131,20 +112,7 @@ def twisted_components(base: BaseGraph, pebbled, twist) -> ComponentStructure:
 
 def is_wall(base: BaseGraph, pebbled) -> bool:
     """True iff the pebbled origins are a separator of the base graph."""
-    pebbled = set(pebbled)
-    remaining = [v for v in range(base.n) if v not in pebbled]
-    if len(remaining) <= 1:
-        return False
-    seen = {remaining[0]}
-    stack = [remaining[0]]
-    while stack:
-        u = stack.pop()
-        for e in base.incident[u]:
-            w = e[0] if e[1] == u else e[1]
-            if w not in pebbled and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) < len(remaining)
+    return len(base.components(pebbled)) > 1
 
 
 # ---------------------------------------------------------------------------
@@ -302,18 +270,11 @@ def duplicator_bijection(
     comps = twisted_components(base, pebbles.vertices, g_twisted.twist)
     if v not in comps.twisted_component.contained:
         raise ValueError(f"vertex {v} is not in the twisted component")
-    path = edge_path(base, g_twisted.twist, e1, forbidden=pebbles.vertices)
-    phi = apply_flip_masks(g_plain, flip_masks_for_path(base, path))
-    psi_by_edge = {}
-    pos_e1 = base.edge_position(v, e1)
-    for e in base.incident[v]:
-        if e == e1:
-            psi_by_edge[e] = np.arange(g_plain.n, dtype=np.int64)
-        else:
-            mask = [0, 0, 0]
-            mask[pos_e1] ^= 1
-            mask[base.edge_position(v, e)] ^= 1
-            psi_by_edge[e] = apply_flip_masks(g_plain, {v: tuple(mask)})
+    phi = move_twist_automorphism(g_plain, g_twisted.twist, e1,
+                                  forbidden=pebbles.vertices)
+    # moving the defect from e1 to e at v flips the bits of e1 and e there
+    psi_by_edge = {e: move_twist_automorphism(g_plain, e1, e)
+                   for e in base.incident[v]}
     return DuplicatorBijection(
         g_plain, g_twisted, pebbles, v, e1, e2, phi, psi_by_edge
     )
@@ -452,21 +413,7 @@ def _separator_side_sizes(base: BaseGraph, sep, w: int):
     """Vertex counts (|G1|, |G2|) of base minus the separator pair, with
     w on the G1 side."""
     sep = set(sep)
-    comp = {}
-    for s in range(base.n):
-        if s in sep or s in comp:
-            continue
-        stack, members = [s], {s}
-        while stack:
-            u = stack.pop()
-            for e in base.incident[u]:
-                x = e[0] if e[1] == u else e[1]
-                if x not in sep and x not in members:
-                    members.add(x)
-                    stack.append(x)
-        for m in members:
-            comp[m] = s
-    g1 = sum(1 for x, root in comp.items() if root == comp[w])
+    g1 = len(next(c for c in base.components(sep) if w in c))
     return g1, base.n - len(sep) - g1
 
 
@@ -482,9 +429,9 @@ def strategy_scenario(base: BaseGraph, twist, u1: int, u2: int, k: int) -> Scena
     else:
         v = _neighbor_in(base, u1, contained & set(_neighbors(base, u2)),
                          degree=3)
-        if not _is_separator_pair(base, (u2, v)):
+        if not is_wall(base, (u2, v)):
             u1, u2 = u2, u1
-        if not _is_separator_pair(base, (u2, v)):
+        if not is_wall(base, (u2, v)):
             raise NoScenarioError("no orientation makes {u2, v} a separator")
         e1, e2 = _norm_edge((u1, v)), _norm_edge((u2, v))
     w = next(x for x in e1 if x != v)
@@ -535,10 +482,6 @@ def _neighbor_in(base: BaseGraph, u: int, allowed, degree=None) -> int:
         if x in allowed and (degree is None or base.degree(x) == degree):
             return x
     raise NoScenarioError(f"no suitable neighbor of {u}")
-
-
-def _is_separator_pair(base: BaseGraph, pair) -> bool:
-    return is_wall(base, set(pair))
 
 
 __all__ = [

@@ -117,12 +117,11 @@ class WalkRecord:
 
     ``class_multisets[c]`` maps each k-step color sequence (a tuple of
     previous-iteration color ids) to its walk count, for any pair of the
-    new class ``c``; ``prev_tables``/``new_tables`` are the color tables
-    before and after the iteration.
+    new class ``c``; ``new_tables`` are the color tables after the
+    iteration.
     """
 
     k: int
-    prev_tables: list
     new_tables: list
     class_multisets: dict
 
@@ -231,7 +230,6 @@ def naive_k_walk_step(ws: Workspace, k: int, budget: int = NAIVE_WALK_BUDGET):
                 f"{len(palette)} colours and k = {k} exceed int64"
             )
         palettes.append((palette, local.reshape(c.n, c.n)))
-    prev_tables = [c.color.copy() for c in ws.colorings]
     # entries: one per distinct (pair, colour sequence), sorted by pair
     # in universe order, then by sequence
     pairs, counts, seq_rows, seqs = [], [], [], []
@@ -276,7 +274,6 @@ def naive_k_walk_step(ws: Workspace, k: int, budget: int = NAIVE_WALK_BUDGET):
         lo = hi
     return WalkRecord(
         k=k,
-        prev_tables=prev_tables,
         new_tables=[c.color.copy() for c in ws.colorings],
         class_multisets=class_multisets,
     )
@@ -428,6 +425,8 @@ def stabilize(
     """
     if record_walk_multisets and kind.name != "kwalk":
         raise ValueError("walk multiset recording needs an explicit k")
+    if record_dims and kind.name != "walk":
+        raise ValueError("dimension recording needs the walk kind")
     if max_iterations is None:
         max_iterations = ws.total_vertices ** 2 + 1
     partitions = [ws.partition()]
@@ -440,18 +439,14 @@ def stabilize(
         if kind.name == "walk":
             dim = walk_step(ws, seed=it_seed, want_dim=record_dims,
                             arith=arith)
-        else:
             if record_dims:
-                _, dim = _span_labels(ws, None, seed=it_seed, want_dim=True,
-                                      arith=arith)
-            if kind.name == "wl":
-                wl_step(ws, seed=it_seed)
-            elif record_walk_multisets:
-                walk_records.append(naive_k_walk_step(ws, kind.k))
-            else:
-                k_walk_step(ws, kind.k, seed=it_seed, arith=arith)
-        if record_dims:
-            dims.append(dim)
+                dims.append(dim)
+        elif kind.name == "wl":
+            wl_step(ws, seed=it_seed)
+        elif record_walk_multisets:
+            walk_records.append(naive_k_walk_step(ws, kind.k))
+        else:
+            k_walk_step(ws, kind.k, seed=it_seed, arith=arith)
         part = ws.partition()
         partitions.append(part)
         if part == partitions[-2]:

@@ -329,7 +329,6 @@ def synth_distinguishing_sentence(
     g2: SimpleGraph,
     k: int = 3,
     *,
-    max_iterations: int | None = None,
     return_details: bool = False,
 ):
     """Closed sentence separating two graphs under k-walk refinement.
@@ -349,8 +348,6 @@ def synth_distinguishing_sentence(
     if g1.n != g2.n:
         raise ValueError("graphs must have the same number of vertices")
     ws = Workspace.from_graphs([g1, g2])
-    if max_iterations is None:
-        max_iterations = ws.total_vertices ** 2 + 1
     # iterate only until the class-count multisets first differ: later
     # iterations cannot contribute to the sentence
     records = []
@@ -360,7 +357,7 @@ def synth_distinguishing_sentence(
         m = 0
     else:
         num_classes = len(np.unique(np.concatenate([t.ravel() for t in tables])))
-        for it in range(1, max_iterations + 1):
+        for it in range(1, ws.total_vertices ** 2 + 2):
             records.append(naive_k_walk_step(ws, k))
             tables = records[-1].new_tables
             counts = _color_counts(tables)

@@ -13,10 +13,41 @@ from walkref.cfi import (
     grid_base,
     grid_vertex,
     move_twist_automorphism,
-    verify_twist_location,
 )
 from walkref.graph_core import SimpleGraph
 from walkref.refinement import RefinementKind, iterations_to_distinguish
+
+
+def verify_twist_location(phi, g_from, g_to):
+    """Exhaustively find the base edges on which phi inverts adjacency.
+
+    Scans all vertex pairs of ``g_from`` against their images in ``g_to``
+    and returns the set of base edges whose origin pairs are all inverted.
+    Raises if some base edge is inverted on only part of its origin pairs,
+    or if any pair outside an edge origin changes adjacency.
+    """
+    if g_from.n != g_to.n or g_from.base.graph != g_to.base.graph:
+        raise ValueError("CFI graphs must share the base graph")
+    perm = np.asarray(phi, dtype=np.int64)
+    a = g_from.graph.adjacency()
+    b = g_to.graph.adjacency()[np.ix_(perm, perm)]
+    diff = a != b
+    inverted = set()
+    for e in g_from.base.edges:
+        u, v = e
+        block = diff[np.ix_(list(g_from.gadget(u)), list(g_from.gadget(v)))]
+        if block.all():
+            inverted.add(e)
+        elif block.any():
+            raise ValueError(f"adjacency inverted on part of origin {e}")
+        diff[np.ix_(list(g_from.gadget(u)), list(g_from.gadget(v)))] = False
+        diff[np.ix_(list(g_from.gadget(v)), list(g_from.gadget(u)))] = False
+    if diff.any():
+        x, y = map(int, np.argwhere(diff)[0])
+        raise ValueError(
+            f"adjacency changed outside edge origins, e.g. pair ({x}, {y})"
+        )
+    return inverted
 
 
 class TestGridBase:
@@ -41,6 +72,15 @@ class TestGridBase:
     def test_connected_required(self):
         with pytest.raises(ValueError):
             BaseGraph(SimpleGraph.from_edges(4, [(0, 1), (2, 3)]))
+
+    def test_components(self):
+        b = grid_base(4)
+        assert b.components() == [list(range(9))]
+        # a vertical pair at column 1 cuts off column 0; the pendant 8
+        # hangs off corner 3
+        assert b.components({1, 5}) == [[0, 4], [2, 3, 6, 7, 8]]
+        assert b.components({3}) == [[0, 1, 2, 4, 5, 6, 7], [8]]
+        assert b.components(range(9)) == []
 
 
 class TestBuildCfi:
@@ -106,7 +146,7 @@ class TestTwistMovement:
     def test_adjacent_edges_touch_only_shared_gadget(self):
         b = grid_base(4)
         e1, e2 = (0, 1), (1, 2)  # share base vertex 1
-        perm = move_twist_automorphism(b, e1, e2)
+        perm = move_twist_automorphism(build_cfi(b), e1, e2)
         g = build_cfi(b)
         for x in range(g.n):
             if g.vertex_origin[x][0] != 1:
@@ -115,14 +155,14 @@ class TestTwistMovement:
     def test_moves_twist_to_target(self):
         b = grid_base(4)
         e_from, e_to = (0, 1), (5, 6)
-        perm = move_twist_automorphism(b, e_from, e_to)
+        perm = move_twist_automorphism(build_cfi(b), e_from, e_to)
         moved = verify_twist_location(perm, build_cfi(b, e_from), build_cfi(b))
         assert moved == {e_to}
 
     def test_certifies_isomorphism_of_two_twists(self):
         b = grid_base(4)
         e_from, e_to = (0, 1), (2, 6)
-        perm = move_twist_automorphism(b, e_from, e_to)
+        perm = move_twist_automorphism(build_cfi(b), e_from, e_to)
         residual = verify_twist_location(
             perm, build_cfi(b, e_from), build_cfi(b, e_to)
         )
@@ -134,7 +174,7 @@ class TestTwistMovement:
         b = grid_base(4)
         edges = b.edges
         e_from, e_to = edges[i % len(edges)], edges[j % len(edges)]
-        perm = move_twist_automorphism(b, e_from, e_to)
+        perm = move_twist_automorphism(build_cfi(b), e_from, e_to)
         assert sorted(perm.tolist()) == list(range(27))
         moved = verify_twist_location(perm, build_cfi(b, e_from), build_cfi(b))
         assert moved == {e_to}
@@ -178,5 +218,5 @@ def test_twist_choice_immaterial_up_to_isomorphism(n):
     b = grid_base(n)
     edges = b.edges
     e1, e2 = edges[0], edges[-1]
-    perm = move_twist_automorphism(b, e1, e2)
+    perm = move_twist_automorphism(build_cfi(b), e1, e2)
     assert verify_twist_location(perm, build_cfi(b, e1), build_cfi(b, e2)) == set()

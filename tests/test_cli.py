@@ -316,6 +316,16 @@ class TestUsageErrors:
         assert err.startswith(f"error: --column {column} is outside 0..")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("grid", ["3", "6"])
+    def test_duplicator_column_without_scenario(self, capsys, grid):
+        # column 1 has no degree-3 neighbour in the twisted component
+        code = main(["verify-duplicator", "--grid", grid, "--k", "3",
+                     "--scenario", "wall-adjacent", "--column", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: no suitable neighbor of 1\n"
+
     def test_malformed_n_values(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["lower-bound", "--n-values", "4,x"])

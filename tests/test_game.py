@@ -7,6 +7,7 @@ import pytest
 from walkref import game
 from walkref.cfi import build_cfi, default_twist, grid_base
 from walkref.game import (
+    Component,
     NoScenarioError,
     PebblePlacement,
     duplicator_bijection,
@@ -19,6 +20,40 @@ from walkref.game import (
     wall_adjacent_scenario,
     wall_nonadjacent_scenario,
 )
+
+
+def reference_twisted_components(base, pebbled, twist):
+    """Union-find over base edges, joining the edges at every unpebbled
+    vertex: the oracle for ``twisted_components``."""
+    parent = {e: e for e in base.edges}
+
+    def find(e):
+        while parent[e] != e:
+            parent[e] = parent[parent[e]]
+            e = parent[e]
+        return e
+
+    for v in range(base.n):
+        if v in pebbled:
+            continue
+        inc = base.incident[v]
+        for f in inc[1:]:
+            parent[find(f)] = find(inc[0])
+    groups = {}
+    for e in base.edges:
+        groups.setdefault(find(e), set()).add(e)
+    components = []
+    for edges in groups.values():
+        contained = frozenset(
+            v
+            for v in range(base.n)
+            if base.degree(v) > 0 and set(base.incident[v]) <= edges
+        )
+        components.append(
+            Component(frozenset(edges), contained, twist in edges)
+        )
+    components.sort(key=lambda c: min(c.edges))
+    return components
 
 
 def reference_round_safe(bij, g_plain, g_twisted, pebbles):
@@ -170,19 +205,47 @@ class TestComponents:
         with pytest.raises(ValueError):
             twisted_components(grid_base(3), set(), (0, 4))
 
+    @pytest.mark.parametrize("grid", [3, 4, 5, 6])
+    def test_matches_union_find(self, grid):
+        # every pebble set of at most 3 base vertices, every twist edge
+        b = grid_base(grid)
+        for r in range(4):
+            for pebbled in itertools.combinations(range(b.n), r):
+                for t in b.edges:
+                    got = twisted_components(b, pebbled, t)
+                    want = reference_twisted_components(b, pebbled, t)
+                    assert got.components == want, (pebbled, t)
+
+
+def component_bound_holds(maker, n, column):
+    b = grid_base(n)
+    t = default_twist(b)
+    gp, gt = build_cfi(b), build_cfi(b, t)
+    scen = maker(b, t, column, k=3)
+    bij = duplicator_bijection(gp, gt, scen.pebbles, scen.v, scen.e1, scen.e2)
+    return verify_component_bound(bij, scen.ell)
+
 
 class TestSeparatorSizeLemma:
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
     def test_component_bound_under_strategy(self, n):
         """Dropping to any consecutive pair after the wall strategies keeps
         the twisted component at least min{l, 2n-l-2} large."""
-        b = grid_base(n)
-        t = default_twist(b)
-        gp, gt = build_cfi(b), build_cfi(b, t)
         for column in range(2, n - 1):
-            scen = wall_adjacent_scenario(b, t, column, k=3)
-            bij = duplicator_bijection(gp, gt, scen.pebbles, scen.v, scen.e1, scen.e2)
-            assert verify_component_bound(bij, scen.ell)
+            assert component_bound_holds(wall_adjacent_scenario, n, column)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_component_bound_nonadjacent(self, n):
+        for column in range(n - 2):
+            assert component_bound_holds(wall_nonadjacent_scenario, n, column)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "CHANGES.md FOUND line 26: at the last wall-nonadjacent column "
+        "ell = 2n - 4, the bound is 2, and some kept pair leaves a smaller "
+        "twisted component"))
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_component_bound_last_nonadjacent_column(self, n):
+        assert component_bound_holds(wall_nonadjacent_scenario, n, n - 2)
 
 
 class TestDuplicatorBijection:

@@ -328,6 +328,13 @@ class TestStabilize:
         assert all(a <= b for a, b in zip(dims, dims[1:]))
         assert dims[0] >= 3  # at least the three starting colors
 
+    @pytest.mark.parametrize("kind", [RefinementKind.wl(),
+                                      RefinementKind.kwalk(3)],
+                             ids=["wl", "kwalk"])
+    def test_dims_need_walk_kind(self, kind):
+        with pytest.raises(ValueError):
+            stabilize(Workspace.from_graphs(cycle(6)), kind, record_dims=True)
+
     @pytest.mark.parametrize("g", STABLE_CASES)
     def test_final_dim_is_stable_class_count(self, g):
         # the stable coloring is a coherent configuration, whose algebra
@@ -389,7 +396,6 @@ class TestDistinguish:
 def reference_naive_k_walk_step(ws, k):
     """The k-walk step as a Python loop over every walk: the reference
     for the numpy enumeration of ``naive_k_walk_step``."""
-    prev_tables = [c.color.copy() for c in ws.colorings]
     per_pair = []  # aligned with universe order: dict seq -> count
     for c in ws.colorings:
         table, n = c.color, c.n
@@ -413,7 +419,6 @@ def reference_naive_k_walk_step(ws, k):
         class_multisets.setdefault(lab, counts)
     return WalkRecord(
         k=k,
-        prev_tables=prev_tables,
         new_tables=[c.color.copy() for c in ws.colorings],
         class_multisets=class_multisets,
     )
