@@ -4,11 +4,11 @@ Exit codes: 0 on success / all verdicts passing, 1 on a property failure
 (a verdict is false or a run cannot satisfy its precondition) or when
 stdout closes before the output is written (``BrokenPipeError``), 2 on usage
 errors (bad flags, a ``--column`` with no Duplicator scenario, unreadable or
-oversized inputs), 3 when the two prime-field algebra runs disagree
-(``AlgebraCrossCheckError``), so no result is trusted, and 4 when a
-computation is refused because it would exceed its work budget
-(``BudgetExceeded``: naive walk enumeration, formula evaluation, Duplicator
-verification).
+oversized inputs, an ``--out`` path that cannot be written), 3 when the two
+prime-field algebra runs disagree (``AlgebraCrossCheckError``), so no result
+is trusted, and 4 when a computation is refused because it would exceed its
+work budget (``BudgetExceeded``: naive walk enumeration, formula evaluation,
+Duplicator verification).
 """
 
 from __future__ import annotations
@@ -93,10 +93,17 @@ def _kind_from_args(args) -> RefinementKind:
     return RefinementKind.wl() if args.kind == "wl" else RefinementKind.walk()
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text if text.endswith("\n") else text + "\n")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path!r}: {exc}") from exc
+
+
 def _emit(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        _write(args.out, text)
     else:
         print(text)
 
@@ -131,8 +138,7 @@ def _cmd_gen(args) -> int:
             ],
             "twist": list(twist) if twist else None,
         }
-        with open(sidecar, "w") as fh:
-            fh.write(_json(origins) + "\n")
+        _write(sidecar, _json(origins))
     return 0
 
 

@@ -1,10 +1,10 @@
 """Experiment drivers and report emission.
 
 Each driver runs a family of refinement experiments and returns an
-``ExperimentReport``: per-instance rows with a fixed CSV column set, a
-dictionary of boolean verdicts, and the configuration needed to reproduce
-the run.  Reports are deterministic given (parameters, seed, arithmetic
-mode) when timing capture is disabled.
+``ExperimentReport``: one row per refinement history with a fixed CSV
+column set, a dictionary of boolean verdicts, and the configuration the
+verdicts were checked against.  Reports are deterministic given
+(parameters, seed, arithmetic mode) when timing capture is disabled.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from . import __version__
 from .cfi import build_cfi, default_twist, grid_base
 from .graph_core import PartitionOrder, SimpleGraph, compare_partitions
 from .refinement import (
-    ARITH_MODES,
+    RefinementHistory,
     RefinementKind,
     Workspace,
     check_arith,
@@ -45,36 +45,32 @@ def lower_bound_window(n: int) -> tuple:
     return (math.ceil((n - 6) / 2), math.ceil(n / 2) + 2)
 
 
-def seeded_random_graph(n: int, seed: int, p: float = 0.35) -> SimpleGraph:
+EDGE_PROBABILITY = 0.35
+
+# the property suite's corpus: seeded random graphs on 4 + seed % 4
+# vertices, the k-walk steps checked on each, and CFI grids
+SUITE_SEEDS = tuple(range(12))
+SUITE_K_VALUES = (2, 3, 4)
+SUITE_CFI_GRIDS = (3, 4)
+
+
+def seeded_random_graph(n: int, seed: int) -> SimpleGraph:
     """Deterministic Erdos-Renyi-style graph keyed by (n, seed)."""
     rng = np.random.default_rng((n, seed))
     edges = [
-        (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
+        (u, v) for u in range(n) for v in range(u + 1, n)
+        if rng.random() < EDGE_PROBABILITY
     ]
     return SimpleGraph.from_edges(n, edges)
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """Parameters of one experiment run."""
-
-    name: str
-    n_values: tuple = ()
-    k_values: tuple = ()
-    seeds: tuple = ()
-    arith: str = "prime2"
-    include_timing: bool = True
-
-    def __post_init__(self):
-        if self.arith not in ARITH_MODES:
-            raise ValueError(f"unknown arithmetic mode {self.arith!r}")
 
 
 @dataclass
 class ExperimentReport:
     """Rows plus verdicts; JSON mirrors the CSV and adds the verdicts."""
 
-    spec: ExperimentSpec
+    name: str
+    arith: str
+    include_timing: bool
     rows: list = field(default_factory=list)
     verdicts: dict = field(default_factory=dict)
     config: dict = field(default_factory=dict)
@@ -90,27 +86,28 @@ class ExperimentReport:
 
         return all(leaves(self.verdicts))
 
-    def add_row(self, *, n, kind, k=None, stab_iters=None, dist_iters=None,
-                dims=None, ms=0.0):
+    def add_row(self, n: int, hist: RefinementHistory,
+                seconds: float) -> None:
+        """One row for instance parameter ``n``, read off its history."""
         self.rows.append({
             "n": n,
-            "kind": kind,
-            "k": k,
-            "stab_iters": stab_iters,
-            "dist_iters": dist_iters,
-            "dim_first": dims[0] if dims else None,
-            "dim_last": dims[-1] if dims else None,
-            "ms": round(ms, 1) if self.spec.include_timing else 0.0,
+            "kind": hist.kind.name,
+            "k": hist.kind.k,
+            "stab_iters": hist.iterations,
+            "dist_iters": hist.distinguished_at,
+            "dim_first": hist.dims[0] if hist.dims else None,
+            "dim_last": hist.dims[-1] if hist.dims else None,
+            "ms": round(seconds * 1000, 1) if self.include_timing else 0.0,
         })
 
     def to_json_dict(self) -> dict:
         return {
-            "experiment": self.spec.name,
+            "experiment": self.name,
             "version": __version__,
-            "arith": self.spec.arith,
+            "arith": self.arith,
             "config": self.config,
             "rows": [
-                {**row, "version": __version__, "arith": self.spec.arith}
+                {**row, "version": __version__, "arith": self.arith}
                 for row in self.rows
             ],
             "verdicts": self.verdicts,
@@ -127,10 +124,6 @@ class ExperimentReport:
                 "" if row[c] is None else str(row[c]) for c in CSV_COLUMNS
             ))
         return "\n".join(lines) + "\n"
-
-
-def _now() -> float:
-    return time.perf_counter()
 
 
 # ---------------------------------------------------------------------------
@@ -178,20 +171,17 @@ def run_remark_disagreement(n_values=tuple(range(2, 11)), *, seed: int = 0,
     partitions coincide.  (At n = 2 the 2-walk refinement IS WL, so the
     pre-stable trails coincide and the disagreement verdict fails there.)
     """
-    spec = ExperimentSpec("remark-disagreement", n_values=tuple(n_values),
-                          seeds=(seed,), arith=arith,
-                          include_timing=include_timing)
-    report = ExperimentReport(spec)
+    report = ExperimentReport("remark-disagreement", arith, include_timing)
     per_n = {}
-    for n in spec.n_values:
+    for n in n_values:
         base = grid_base(n, allow_degenerate=True) if n < 3 else grid_base(n)
         g = build_cfi(base).graph
-        t0 = _now()
+        t0 = time.perf_counter()
         hist_wl = stabilize(Workspace.from_graphs(g), RefinementKind.wl())
-        t1 = _now()
+        t1 = time.perf_counter()
         hist_kw = stabilize(Workspace.from_graphs(g), RefinementKind.kwalk(n),
                             seed=seed, arith=arith)
-        t2 = _now()
+        t2 = time.perf_counter()
         pre_wl = [p for p in hist_wl.partitions[1:]
                   if p != hist_wl.stable_partition]
         pre_kw = [p for p in hist_kw.partitions[1:]
@@ -200,10 +190,8 @@ def run_remark_disagreement(n_values=tuple(range(2, 11)), *, seed: int = 0,
         stable_equal = hist_wl.stable_partition == hist_kw.stable_partition
         per_n[str(n)] = {"pre_stable_disagree": disagree,
                          "stable_equal": stable_equal}
-        report.add_row(n=n, kind="wl", stab_iters=hist_wl.iterations,
-                       ms=(t1 - t0) * 1000)
-        report.add_row(n=n, kind="kwalk", k=n, stab_iters=hist_kw.iterations,
-                       ms=(t2 - t1) * 1000)
+        report.add_row(n, hist_wl, t1 - t0)
+        report.add_row(n, hist_kw, t2 - t1)
     report.verdicts = {
         "per_n": per_n,
         "all_disagree_except_stable": all(
@@ -229,29 +217,24 @@ def run_lower_bound(n_values=(4, 6, 8, 10), *, seed: int = 0,
     separates loop classes of different gadgets while one 4-walk iteration
     does not (checked for n > 4; at n = 4 both operators coincide).
     """
-    spec = ExperimentSpec("lower-bound", n_values=tuple(n_values),
-                          seeds=(seed,), arith=arith,
-                          include_timing=include_timing)
-    report = ExperimentReport(spec)
+    n_values = tuple(n_values)
+    report = ExperimentReport("lower-bound", arith, include_timing)
     report.config["window"] = {
-        str(n): list(lower_bound_window(n)) for n in spec.n_values
+        str(n): list(lower_bound_window(n)) for n in n_values
     }
     counts = {}
     equal_counts, in_window, stab_bound, gadget_sep = {}, {}, {}, {}
-    for n in spec.n_values:
+    for n in n_values:
         base = grid_base(n)
         cfi = build_cfi(base)
         g1 = cfi.graph
         g2 = build_cfi(base, default_twist(base)).graph
         for kind in (RefinementKind.walk(), RefinementKind.kwalk(4)):
-            t0 = _now()
+            t0 = time.perf_counter()
             hist = stabilize(Workspace.from_graphs([g1, g2]), kind,
                              seed=seed, arith=arith)
-            ms = (_now() - t0) * 1000
+            report.add_row(n, hist, time.perf_counter() - t0)
             counts[(n, kind.name)] = hist.distinguished_at
-            report.add_row(n=n, kind=kind.name, k=kind.k,
-                           stab_iters=hist.iterations,
-                           dist_iters=hist.distinguished_at, ms=ms)
             if kind.name == "walk":
                 stab_bound[str(n)] = hist.iterations <= 2 * (g1.n + g2.n)
         equal_counts[str(n)] = counts[(n, "walk")] == counts[(n, "kwalk")]
@@ -262,22 +245,18 @@ def run_lower_bound(n_values=(4, 6, 8, 10), *, seed: int = 0,
             gadget_sep[str(n)] = _gadget_separation_beats_4walk(
                 cfi, n, seed=seed, arith=arith
             )
-    walk_counts = [counts[(n, "walk")] for n in spec.n_values]
-    steps_ok = all(
-        b - a in (1, 2) for a, b in zip(walk_counts, walk_counts[1:])
-    )
+    walk_counts = [counts[(n, "walk")] for n in n_values]
+    steps = list(zip(walk_counts, walk_counts[1:]))
     report.verdicts = {
         "counts_equal_walk_vs_4walk": equal_counts,
-        "strictly_increasing": all(
-            a < b for a, b in zip(walk_counts, walk_counts[1:])
-        ),
-        "growth_steps_in_1_2": steps_ok,
+        "strictly_increasing": all(a < b for a, b in steps),
+        "growth_steps_in_1_2": all(b - a in (1, 2) for a, b in steps),
         "in_window": in_window,
         "walk_stabilizes_within_2n": stab_bound,
         "n_walk_gadget_separation_beats_4walk": gadget_sep,
     }
     report.config["walk_counts"] = {
-        str(n): counts[(n, "walk")] for n in spec.n_values
+        str(n): counts[(n, "walk")] for n in n_values
     }
     return report
 
@@ -289,43 +268,32 @@ def _gadget_separation_beats_4walk(cfi, n, *, seed, arith) -> bool:
     for k in (4, n):
         ws = Workspace.from_graphs(cfi.graph)
         k_walk_step(ws, k, seed=seed, arith=arith)
-        loops[k] = np.diag(ws.colorings[0].color).copy()
-    origin = [cfi.vertex_origin[x][0] for x in range(cfi.graph.n)]
-    return any(
-        origin[x] != origin[y]
-        and loops[4][x] == loops[4][y]
-        and loops[n][x] != loops[n][y]
-        for x in range(cfi.graph.n)
-        for y in range(x + 1, cfi.graph.n)
-    )
+        loops[k] = np.diag(ws.colorings[0].color)
+    origin = np.array([bv for bv, _ in cfi.vertex_origin])
+    split = (np.triu(origin[:, None] != origin[None, :], 1)
+             & (loops[4][:, None] == loops[4][None, :])
+             & (loops[n][:, None] != loops[n][None, :]))
+    return bool(split.any())
 
 
 # ---------------------------------------------------------------------------
 # experiment: bundled invariant suite
 
 
-def run_property_suite(*, seeds=tuple(range(12)), n_max: int = 7,
-                       k_values=(2, 3, 4), cfi_ns=(3, 4),
-                       arith: str = "prime2",
+def run_property_suite(*, arith: str = "prime2",
                        include_timing: bool = True) -> ExperimentReport:
     """Oracle equivalence, simulation, monotonicity, dimension-chain, and
-    isomorphism-invariance checks over seeded random graphs and small CFI
-    instances."""
-    spec = ExperimentSpec("property-suite", n_values=(n_max,),
-                          k_values=tuple(k_values), seeds=tuple(seeds),
-                          arith=arith, include_timing=include_timing)
-    report = ExperimentReport(spec)
-    graphs = []
-    for s in spec.seeds:
-        n = 4 + (s % (n_max - 3))
-        graphs.append((f"random-{n}-{s}", seeded_random_graph(n, s)))
-    cfi_graphs = [(f"cfi-{n}", build_cfi(grid_base(n)).graph) for n in cfi_ns]
+    isomorphism-invariance checks over the seeded random graphs and CFI
+    grids of the suite's corpus."""
+    report = ExperimentReport("property-suite", arith, include_timing)
+    randoms = [seeded_random_graph(4 + s % 4, s) for s in SUITE_SEEDS]
+    graphs = randoms + [build_cfi(grid_base(n)).graph for n in SUITE_CFI_GRIDS]
     # the isomorphism check refines each graph jointly with a relabelled copy
-    check_arith(arith, 2 * max(g.n for _, g in graphs + cfi_graphs))
+    check_arith(arith, 2 * max(g.n for g in graphs))
 
     oracle_ok, wl_ok = True, True
-    for name, g in graphs:
-        for k in spec.k_values:
+    for g in randoms:
+        for k in SUITE_K_VALUES:
             ws_a = Workspace.from_graphs(g)
             k_walk_step(ws_a, k, arith=arith)
             ws_b = Workspace.from_graphs(g)
@@ -340,8 +308,8 @@ def run_property_suite(*, seeds=tuple(range(12)), n_max: int = 7,
                     wl_ok = False
 
     simulation_ok = True
-    for name, g in graphs + cfi_graphs:
-        for k in spec.k_values:
+    for g in graphs:
+        for k in SUITE_K_VALUES:
             ws_w = Workspace.from_graphs(g)
             for _ in range(math.ceil(math.log2(k))):
                 wl_step(ws_w)
@@ -352,8 +320,8 @@ def run_property_suite(*, seeds=tuple(range(12)), n_max: int = 7,
                 simulation_ok = False
 
     monotone_ok, dims_ok, iso_ok = True, True, True
-    for idx, (name, g) in enumerate(graphs + cfi_graphs):
-        t0 = _now()
+    for idx, g in enumerate(graphs):
+        t0 = time.perf_counter()
         ws = Workspace.from_graphs(g)
         hist = stabilize(ws, RefinementKind.walk(), record_dims=True,
                          arith=arith)
@@ -370,8 +338,7 @@ def run_property_suite(*, seeds=tuple(range(12)), n_max: int = 7,
         hist2 = stabilize(ws2, RefinementKind.walk(), arith=arith)
         if hist2.distinguished_at is not None:
             iso_ok = False
-        report.add_row(n=g.n, kind="walk", stab_iters=hist.iterations,
-                       dims=hist.dims, ms=(_now() - t0) * 1000)
+        report.add_row(g.n, hist, time.perf_counter() - t0)
 
     report.verdicts = {
         "oracle_equivalence": oracle_ok,
@@ -386,7 +353,6 @@ def run_property_suite(*, seeds=tuple(range(12)), n_max: int = 7,
 
 __all__ = [
     "CSV_COLUMNS",
-    "ExperimentSpec",
     "ExperimentReport",
     "lower_bound_window",
     "seeded_random_graph",

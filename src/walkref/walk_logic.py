@@ -429,24 +429,18 @@ def to_sexpr(f: WalkFormula) -> str:
     return emit(f)
 
 
-_TOKEN = re.compile(r"\(|\)|[^\s()]+")
+# a label definition is its own token, also where it sticks to its
+# expression ("#0=(and ...)")
+_TOKEN = re.compile(r"#\d+=|\(|\)|[^\s()]+")
 _LABEL_DEF = re.compile(r"#(\d+)=\Z")
 _LABEL_REF = re.compile(r"#(\d+)#\Z")
 
 
 def parse_sexpr(text: str) -> WalkFormula:
     """Parse the S-expression format of :func:`to_sexpr` back into the
-    (interned) formula DAG; ``parse_sexpr(to_sexpr(f)) is f``."""
-    tokens = []
-    for tok in _TOKEN.findall(text):
-        # a label definition sticks to its expression ("#0=(and ...)"),
-        # split it off as its own token
-        m = re.match(r"#\d+=", tok)
-        if m and m.end() < len(tok):
-            tokens.append(tok[: m.end()])
-            tokens.append(tok[m.end():])
-        else:
-            tokens.append(tok)
+    (interned) formula DAG; ``parse_sexpr(to_sexpr(f)) is f``.  Any
+    malformed input raises ValueError."""
+    tokens = _TOKEN.findall(text)
     pos = 0
     table = {}
 
@@ -505,7 +499,10 @@ def parse_sexpr(text: str) -> WalkFormula:
             table[label] = node
         return node
 
-    node = parse()
+    try:
+        node = parse()
+    except RecursionError:
+        raise ValueError("S-expression is nested too deeply") from None
     if pos != len(tokens):
         raise ValueError("trailing input after formula")
     return node

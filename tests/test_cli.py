@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from walkref.cli import main
 from walkref.graph_core import MAX_GRAPH_VERTICES, load_graph_json
@@ -247,6 +250,32 @@ class TestUsageErrors:
         assert err.startswith("error: naive enumeration needs")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", [
+        ["gen", "--grid", "3"], ["gen", "--grid", "3", "--twist"],
+        ["refine", "--graph", "{plain}"],
+        ["lower-bound", "--n-values", "4", "--no-timing"],
+    ], ids=["gen", "gen-twist", "refine", "lower-bound"])
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_unwritable_out(self, capsys, tmp_path, cfi_pair, command,
+                            target):
+        out = str(tmp_path / "missing" / "x.json" if target == "missing-dir"
+                  else tmp_path)
+        argv = [a.format(plain=cfi_pair[0]) for a in command]
+        capsys.readouterr()
+        code = main([*argv, "--out", out])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out!r}: ")
+        assert captured.err.count("\n") == 1
+
+    def test_unwritable_sidecar(self, capsys, tmp_path):
+        (tmp_path / "g.origins.json").mkdir()
+        code = main(["gen", "--grid", "3", "--out", str(tmp_path / "g.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot write {str(tmp_path / 'g.origins.json')!r}: ")
+
     def test_csv_unsupported_command(self, cfi_pair):
         plain, _ = cfi_pair
         with pytest.raises(SystemExit) as exc:
@@ -407,3 +436,103 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: argv drawn from small ranges, in which every command must end in
+# a documented exit code
+
+SMALL = st.integers(-1, 3).map(str)
+K = st.integers(1, 4).map(str)
+GRID = st.integers(2, 5).map(str)
+N = st.integers(1, 8).map(str)
+KIND = st.sampled_from(["wl", "kwalk", "walk"])
+# a.json and b.json hold the drawn graphs (drawn more often than the
+# missing file, the malformed bad.json and the directory)
+GRAPH = st.sampled_from(["a.json"] * 3 + ["b.json"] * 3
+                        + ["missing.json", "bad.json", ""]
+                        ).map(lambda name: "{dir}/" + name)
+FLAG = st.just(None)  # a flag without a value
+
+# per command: (required flags, optional flags)
+COMMAND_FLAGS = {
+    "gen": ({"--grid": GRID}, {"--twist": FLAG}),
+    "refine": ({"--graph": GRAPH},
+               {"--kind": KIND, "--k": K, "--max-iters": SMALL}),
+    "distinguish": ({"--graphs": st.tuples(GRAPH, GRAPH)},
+                    {"--kind": KIND, "--k": K, "--max-iters": SMALL}),
+    "dims": ({"--graph": GRAPH}, {}),
+    "formula": ({"--graphs": st.tuples(GRAPH, GRAPH)}, {"--k": K}),
+    "verify-duplicator": (
+        {"--grid": GRID, "--k": K,
+         "--scenario": st.sampled_from(
+             ["opening", "wall-adjacent", "wall-nonadjacent"])},
+        {"--column": st.integers(-1, 5).map(str)},
+    ),
+    "remark": ({}, {"--n-min": N, "--n-max": N, "--no-timing": FLAG}),
+    "lower-bound": ({}, {
+        "--n-values": st.lists(st.integers(2, 8), min_size=1, max_size=2)
+        .map(lambda ns: ",".join(map(str, ns))),
+        "--no-timing": FLAG,
+    }),
+}
+COMMON_FLAGS = {
+    "--arith": st.sampled_from(["prime", "prime2", "rational"]),
+    "--seed": SMALL,
+    "--format": st.sampled_from(["json", "csv"]),
+    "--out": st.sampled_from(["out.json", "out.json", "missing/out.json", ""])
+    .map(lambda name: "{dir}/" + name),
+}
+
+
+def graph_texts():
+    """The wire format of graphs on at most 8 vertices."""
+    def on(n):
+        edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        return st.lists(edge.filter(lambda e: e[0] != e[1]), max_size=12,
+                        unique_by=lambda e: frozenset(e)).map(
+            lambda es: json.dumps({"n": n, "edges": es}))
+    return st.integers(1, 8).flatmap(on)
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    required, optional = COMMAND_FLAGS[command]
+    flags = dict(required)
+    flags.update((f, s) for f, s in {**optional, **COMMON_FLAGS}.items()
+                 if draw(st.booleans()))
+    argv = [command]
+    for flag, strategy in flags.items():
+        value = draw(strategy)
+        argv.append(flag)
+        if isinstance(value, tuple):
+            argv.extend(value)
+        elif value is not None:
+            argv.append(value)
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "bad.json").write_text('{"n": 2, "edges": [[0, 1]')
+    return d
+
+
+class TestFuzz:
+    @given(argv=argvs(), a=graph_texts(), b=graph_texts())
+    @settings(max_examples=150, deadline=None)
+    def test_documented_exit_codes(self, fuzz_dir, argv, a, b):
+        (fuzz_dir / "a.json").write_text(a)
+        (fuzz_dir / "b.json").write_text(b)
+        argv = [arg.format(dir=fuzz_dir) for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refused the flags
+                code = exc.code
+                assert code == 2, argv
+        assert code in range(5), argv
+        assert "Traceback" not in err.getvalue()

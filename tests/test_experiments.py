@@ -1,8 +1,11 @@
+import numpy as np
 import pytest
 
+from walkref.cfi import build_cfi, default_twist, grid_base
 from walkref.experiments import (
     CSV_COLUMNS,
-    ExperimentSpec,
+    ExperimentReport,
+    _gadget_separation_beats_4walk,
     lower_bound_window,
     run_lower_bound,
     run_property_suite,
@@ -11,6 +14,29 @@ from walkref.experiments import (
     walk_dimension_chain,
 )
 from walkref.graph_core import SimpleGraph
+from walkref.refinement import (
+    RefinementKind,
+    Workspace,
+    k_walk_step,
+    stabilize,
+)
+
+
+def reference_gadget_separation(cfi, n, *, seed, arith):
+    """The pair loop behind ``_gadget_separation_beats_4walk``."""
+    loops = {}
+    for k in (4, n):
+        ws = Workspace.from_graphs(cfi.graph)
+        k_walk_step(ws, k, seed=seed, arith=arith)
+        loops[k] = np.diag(ws.colorings[0].color)
+    origin = [bv for bv, _ in cfi.vertex_origin]
+    return any(
+        origin[x] != origin[y]
+        and loops[4][x] == loops[4][y]
+        and loops[n][x] != loops[n][y]
+        for x in range(cfi.graph.n)
+        for y in range(x + 1, cfi.graph.n)
+    )
 
 
 class TestHelpers:
@@ -25,9 +51,15 @@ class TestHelpers:
         assert seeded_random_graph(9, 3) == seeded_random_graph(9, 3)
         assert seeded_random_graph(9, 3) != seeded_random_graph(9, 4)
 
-    def test_spec_rejects_bad_arith(self):
-        with pytest.raises(ValueError):
-            ExperimentSpec("x", arith="float")
+    @pytest.mark.parametrize("driver", [
+        lambda: run_lower_bound((4,), arith="float"),
+        lambda: run_remark_disagreement((3,), arith="float"),
+        lambda: run_property_suite(arith="float"),
+    ], ids=["lower-bound", "remark", "suite"])
+    def test_drivers_reject_bad_arith(self, driver):
+        # the first refinement step that takes the mode refuses it
+        with pytest.raises(ValueError, match="unknown arithmetic mode"):
+            driver()
 
 
 class TestDimensionChain:
@@ -47,21 +79,40 @@ class TestDimensionChain:
                 == walk_dimension_chain(g, arith="prime2")["dims"])
 
 
-class TestReports:
-    def test_property_suite_passes_and_is_deterministic(self):
-        kwargs = dict(seeds=tuple(range(6)), n_max=6, k_values=(2, 3),
-                      cfi_ns=(3,), include_timing=False)
-        r1 = run_property_suite(**kwargs)
-        assert r1.passed, r1.verdicts
-        assert r1.to_json() == run_property_suite(**kwargs).to_json()
+@pytest.fixture(scope="module")
+def suite():
+    return run_property_suite(include_timing=False)
 
-    def test_csv_shape(self):
-        r = run_property_suite(seeds=(0, 1), n_max=5, k_values=(2,),
-                               cfi_ns=(), include_timing=False)
-        lines = r.to_csv().strip().split("\n")
+
+class TestReports:
+    def test_property_suite_passes_and_is_deterministic(self, suite):
+        assert suite.passed, suite.verdicts
+        assert (suite.to_json()
+                == run_property_suite(include_timing=False).to_json())
+
+    def test_csv_shape(self, suite):
+        lines = suite.to_csv().strip().split("\n")
         assert lines[0] == ",".join(CSV_COLUMNS)
+        # one walk row per corpus graph: 12 random graphs and 2 CFI grids
+        assert len(lines) == 1 + 14
         assert all(len(line.split(",")) == len(CSV_COLUMNS)
                    for line in lines[1:])
+
+    def test_row_read_off_history(self):
+        base = grid_base(3)
+        ws = Workspace.from_graphs(
+            [build_cfi(base).graph, build_cfi(base, default_twist(base)).graph]
+        )
+        hist = stabilize(ws, RefinementKind.kwalk(4))
+        report = ExperimentReport("x", "prime2", include_timing=True)
+        report.add_row(3, hist, 0.01234)
+        assert report.rows == [{
+            "n": 3, "kind": "kwalk", "k": 4,
+            "stab_iters": hist.iterations,
+            "dist_iters": hist.distinguished_at,
+            "dim_first": None, "dim_last": None, "ms": 12.3,
+        }]
+        assert hist.distinguished_at is not None
 
     def test_remark_small_passes(self):
         r = run_remark_disagreement((3, 4), include_timing=False)
@@ -80,6 +131,16 @@ class TestReports:
         assert r.passed, r.verdicts
         assert r.config["walk_counts"] == {"4": 2}
         assert r.verdicts["n_walk_gadget_separation_beats_4walk"] == {}
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_gadget_separation_matches_pair_loop(self, n):
+        base = grid_base(n)
+        for cfi in (build_cfi(base), build_cfi(base, default_twist(base))):
+            assert (_gadget_separation_beats_4walk(cfi, n, seed=0,
+                                                   arith="prime2")
+                    == reference_gadget_separation(cfi, n, seed=0,
+                                                   arith="prime2")
+                    == (n > 4))
 
     def test_rows_carry_version_and_arith(self):
         r = run_remark_disagreement((3,), include_timing=False)

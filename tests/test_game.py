@@ -240,9 +240,13 @@ class TestSeparatorSizeLemma:
             assert component_bound_holds(wall_nonadjacent_scenario, n, column)
 
     @pytest.mark.xfail(strict=True, reason=(
-        "CHANGES.md FOUND line 26: at the last wall-nonadjacent column "
-        "ell = 2n - 4, the bound is 2, and some kept pair leaves a smaller "
-        "twisted component"))
+        "CHANGES.md FOUND line 26: at column n - 2 the pebbles are "
+        "u1 = (1, n-1), the degree-2 bottom-right corner, and "
+        "u2 = (0, n-2); Duplicator picks v = (1, n-2) and e1 = (v, u1), and "
+        "ell = 2n - 4 makes the bound min{ell, 2n - ell - 2} = 2.  In the "
+        "round with interior ((0, n-1), v) Spoiler keeps that pair, both "
+        "neighbours of u1, while the defect stays on e1, so the twisted "
+        "component is {u1}: 1 vertex"))
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_component_bound_last_nonadjacent_column(self, n):
         assert component_bound_holds(wall_nonadjacent_scenario, n, n - 2)

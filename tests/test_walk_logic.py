@@ -334,3 +334,31 @@ class TestSerialization:
                     "eq adj", "(walk 2 eq)"]:
             with pytest.raises(ValueError):
                 parse_sexpr(bad)
+
+    @pytest.mark.parametrize("op", ["not", "and", "walk 1"],
+                             ids=["not", "and", "walk"])
+    def test_deep_nesting_is_a_value_error(self, op):
+        text = f"({op} " * 5000 + "eq" + ")" * 5000
+        with pytest.raises(ValueError, match="nested too deeply"):
+            parse_sexpr(text)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_parse_returns_a_formula_or_raises_value_error(self, data):
+        # text over the S-expression alphabet, alone or spliced into a
+        # serialized formula
+        noise = data.draw(st.lists(st.sampled_from(
+            ["(", ")", "#", "=", " ", "not ", "and ", "walk ", "eq", "adj"]
+            + list("0123456789")
+        ), max_size=30).map("".join))
+        text = noise
+        if data.draw(st.booleans()):
+            text = to_sexpr(data.draw(formulas()))
+            i = data.draw(st.integers(0, len(text)))
+            j = data.draw(st.integers(i, len(text)))
+            text = text[:i] + noise + text[j:]
+        try:
+            f = parse_sexpr(text)
+        except ValueError:
+            return
+        assert parse_sexpr(to_sexpr(f)) is f
