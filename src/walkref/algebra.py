@@ -403,9 +403,17 @@ def sampled_span_profile(
     coefficients, so by Schwartz-Zippel two coordinates whose length-l walk
     counts differ mod p get equal samples at that length with probability
     at most (l / p)^3 per prime, independently across primes.  That bound
-    covers a run of ``max_length`` lengths.  With ``max_length=None`` the
-    run ends ``_STOP_WINDOW`` lengths after the last split, or after n_tot^2
-    lengths (n_tot = sum_i n_i), a heuristic with no such bound.
+    covers a run of ``max_length`` lengths.
+
+    A run that splits no class through length 2 stops there, bounded or
+    windowed.  Length 2 samples random combinations of the products of
+    two generators, so the input coloring is then coherent (its span is
+    closed under products), except with probability at most (2/p)^3 per
+    prime, and every longer product is constant on its classes.  So
+    only a coloring that is not coherent reaches the window: with
+    ``max_length=None`` such a run ends ``_STOP_WINDOW`` lengths after
+    the last split, or after n_tot^2 lengths (n_tot = sum_i n_i), a
+    heuristic with no such bound.
     """
     tables = [np.asarray(t, dtype=np.int64) for t in color_tables]
     colors = np.concatenate([t.ravel() for t in tables])
@@ -443,7 +451,10 @@ def sampled_span_profile(
             labels = group_rows(np.column_stack([labels, samples]))
             rep = np.unique(labels, return_index=True)[1][labels]
             stabilized_length = length
-        elif windowed and length - stabilized_length >= _STOP_WINDOW:
+        # length 1 samples one coefficient per color and splits nothing,
+        # so an unsplit length 2 is the coherence certificate
+        elif length == 2 or (windowed
+                             and length - stabilized_length >= _STOP_WINDOW):
             break
     return SpanProfile(
         labels=labels,

@@ -138,7 +138,12 @@ def _cmd_gen(args) -> int:
             ],
             "twist": list(twist) if twist else None,
         }
-        _write(sidecar, _json(origins))
+        try:
+            _write(sidecar, _json(origins))
+        except UsageError:
+            # a graph without its origins is not a finished output
+            os.remove(args.out)
+            raise
     return 0
 
 

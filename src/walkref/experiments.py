@@ -172,10 +172,12 @@ def run_remark_disagreement(n_values=tuple(range(2, 11)), *, seed: int = 0,
     pre-stable trails coincide and the disagreement verdict fails there.)
     """
     report = ExperimentReport("remark-disagreement", arith, include_timing)
+    if n_values:
+        # refuse the largest graph's arithmetic before refining any
+        check_arith(arith, _remark_graph(max(n_values)).n)
     per_n = {}
     for n in n_values:
-        base = grid_base(n, allow_degenerate=True) if n < 3 else grid_base(n)
-        g = build_cfi(base).graph
+        g = _remark_graph(n)
         t0 = time.perf_counter()
         hist_wl = stabilize(Workspace.from_graphs(g), RefinementKind.wl())
         t1 = time.perf_counter()
@@ -202,6 +204,11 @@ def run_remark_disagreement(n_values=tuple(range(2, 11)), *, seed: int = 0,
     return report
 
 
+def _remark_graph(n: int) -> SimpleGraph:
+    """The CFI graph of the pendant 2 x n grid, degenerate at n = 2."""
+    return build_cfi(grid_base(n, allow_degenerate=n < 3)).graph
+
+
 # ---------------------------------------------------------------------------
 # experiment: distinguishing-iteration lower-bound shape on CFI pairs
 
@@ -218,6 +225,9 @@ def run_lower_bound(n_values=(4, 6, 8, 10), *, seed: int = 0,
     does not (checked for n > 4; at n = 4 both operators coincide).
     """
     n_values = tuple(n_values)
+    if n_values:
+        # refuse the largest pair's arithmetic before refining any
+        check_arith(arith, 2 * build_cfi(grid_base(max(n_values))).n)
     report = ExperimentReport("lower-bound", arith, include_timing)
     report.config["window"] = {
         str(n): list(lower_bound_window(n)) for n in n_values

@@ -190,8 +190,10 @@ def k_walk_step(ws: Workspace, k: int, seed: int = 0,
 def walk_step(ws: Workspace, seed: int = 0, want_dim: bool = False,
               arith: str = "prime2"):
     """One walk-refinement step: the finest k-walk step (k = n^2 always
-    suffices).  Returns the induced-algebra dimension if requested; the
-    engine follows from ``want_dim`` and the size (see ``_span_labels``)."""
+    suffices).  The engine follows from ``want_dim`` and the size (see
+    ``_span_labels``).  Returns the induced-algebra dimension whenever the
+    exact closure ran, ``want_dim`` or not, and None from the sampler;
+    ``stabilize`` reads it as a coherence certificate."""
     labels, dim = _span_labels(ws, None, seed=seed, want_dim=want_dim,
                                arith=arith)
     _install_labels(ws, labels)
@@ -355,11 +357,15 @@ def _span_labels(ws, k, *, seed, want_dim=False, arith="prime2"):
     WL (k = 2)             sampler, 2 lengths     sampler, 2 lengths
     =====================  =====================  =========================
 
-    A k-walk step, WL's among them, runs all k lengths, so its only error
+    Every sampler run that splits no class through length 2 stops there:
+    its input coloring is then coherent, except with probability at most
+    (2/p)^3 per prime, and no longer product splits a class.  Otherwise a
+    k-walk step, WL's among them, runs all k lengths, so its only error
     is the one-sided Schwartz-Zippel bound of ``sampled_span_profile``.
-    A walk step has no length to run to: the sampler stops it on its
-    heuristic window (``algebra._STOP_WINDOW``), which the slower exact
-    closure replaces up to 40 vertices.  Rational arithmetic is refused
+    A walk step has no length to run to: on a coloring that is not
+    coherent the sampler stops it on its heuristic window
+    (``algebra._STOP_WINDOW``), which the slower exact closure replaces
+    up to 40 vertices.  Rational arithmetic is refused
     above 40 vertices; its k-walk steps sample over both primes, as under
     ``prime2``, which also checks ranks on both.
 
@@ -422,6 +428,16 @@ def stabilize(
 
     ``seed`` drives the sampler: every WL step, every k-walk step without
     walk-count records, and walk steps without dims above 40 vertices.
+
+    A walk step whose exact closure ends at rank d equal to the class
+    count of the partition P it returns certifies coherence: the algebra
+    A lies in the span V_P of P's class matrices and has its dimension, so
+    A = V_P.  Products of class matrices are integer counts below p, so
+    V_P is closed under products over the integers, and the next step
+    returns P with dimension d under every arithmetic.  That confirming
+    iteration is appended (P, and d when recording) without computing it,
+    which also skips its second-prime cross-check, one that cannot fail
+    since V_P has rank |P| in every field.
     """
     if record_walk_multisets and kind.name != "kwalk":
         raise ValueError("walk multiset recording needs an explicit k")
@@ -436,6 +452,7 @@ def stabilize(
         # dims[i-1] is the induced-algebra dimension of the coloring
         # *entering* iteration i
         it_seed = _iter_seed(seed, it)
+        dim = None
         if kind.name == "walk":
             dim = walk_step(ws, seed=it_seed, want_dim=record_dims,
                             arith=arith)
@@ -450,6 +467,12 @@ def stabilize(
         part = ws.partition()
         partitions.append(part)
         if part == partitions[-2]:
+            break
+        if dim == part.num_classes and it < max_iterations:
+            # the coherence certificate: the confirming iteration, as is
+            partitions.append(part)
+            if record_dims:
+                dims.append(dim)
             break
     return RefinementHistory(
         kind=kind,

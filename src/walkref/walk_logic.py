@@ -430,10 +430,13 @@ def to_sexpr(f: WalkFormula) -> str:
 
 
 # a label definition is its own token, also where it sticks to its
-# expression ("#0=(and ...)")
-_TOKEN = re.compile(r"#\d+=|\(|\)|[^\s()]+")
-_LABEL_DEF = re.compile(r"#(\d+)=\Z")
-_LABEL_REF = re.compile(r"#(\d+)#\Z")
+# expression ("#0=(and ...)"); counts and labels are canonical ASCII
+# integers, as ``to_sexpr`` prints them
+_INT = r"(0|[1-9][0-9]*)"
+_TOKEN = re.compile(r"#[0-9]+=|\(|\)|[^\s()]+")
+_COUNT = re.compile(_INT + r"\Z")
+_LABEL_DEF = re.compile("#" + _INT + r"=\Z")
+_LABEL_REF = re.compile("#" + _INT + r"#\Z")
 
 
 def parse_sexpr(text: str) -> WalkFormula:
@@ -483,7 +486,11 @@ def parse_sexpr(text: str) -> WalkFormula:
                 node = and_(parts)
                 closer = take()
             elif head == "walk":
-                j = int(take())
+                count = take()
+                if not _COUNT.match(count):
+                    raise ValueError(f"walk count {count!r} is not a "
+                                     "canonical integer")
+                j = int(count)
                 parts = []
                 while tokens[pos : pos + 1] != [")"]:
                     parts.append(parse())

@@ -23,16 +23,22 @@ from walkref.algebra import (
     _matmul_mod,
     _mod_p,
 )
+from walkref.cfi import build_cfi, grid_base
 from walkref.graph_core import (
     ColoredCompleteGraph,
     SimpleGraph,
     group_rows,
     initial_coloring,
 )
+from walkref.refinement import RefinementKind, Workspace, stabilize
 
 
 def cycle(n):
     return SimpleGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def path(n):
+    return SimpleGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def complete(n):
@@ -504,10 +510,14 @@ class TestSampledProfile:
                                  color_matrices(cs), k)
         prof = sampled_span_profile(tables(cs), max_length=k, seed=seed)
         assert np.array_equal(prof.labels, partition_from_span(basis))
-        assert prof.lengths_used == k
+        # an unsplit length 2 certifies coherence and ends the run
+        assert prof.lengths_used == (
+            2 if prof.stabilized_length == 1 and k > 2 else k)
 
-    @pytest.mark.parametrize("n", [4, 9])  # capped at n^2; ended by the window
-    def test_window_regroups_only_on_splits(self, monkeypatch, n):
+    # P4 splits at length 2 and is capped at n^2 = 16 lengths; C9 is
+    # ended by the window
+    @pytest.mark.parametrize("g", [path(4), cycle(9)], ids=["4", "9"])
+    def test_window_regroups_only_on_splits(self, monkeypatch, g):
         calls = []
 
         def counted(a):
@@ -515,11 +525,24 @@ class TestSampledProfile:
             return group_rows(a)
 
         monkeypatch.setattr("walkref.algebra.group_rows", counted)
-        prof = sampled_span_profile(tables([initial_coloring(cycle(n))]),
-                                    seed=1)
+        prof = sampled_span_profile(tables([initial_coloring(g)]), seed=1)
         assert len(calls) <= 1 + prof.stabilized_length < prof.lengths_used
         assert prof.lengths_used == min(prof.stabilized_length + _STOP_WINDOW,
-                                        n * n)
+                                        g.n * g.n)
+
+    @pytest.mark.parametrize("max_length", [None, 6], ids=["window", "6"])
+    @pytest.mark.parametrize("case", ["c5-initial", "cfi3-stable"])
+    def test_coherent_coloring_stops_at_length_2(self, case, max_length):
+        if case == "c5-initial":
+            c = initial_coloring(cycle(5))
+        else:
+            ws = Workspace.from_graphs(build_cfi(grid_base(3)).graph)
+            stabilize(ws, RefinementKind.walk())
+            c = ws.colorings[0]
+        prof = sampled_span_profile(tables([c]), seed=2,
+                                    max_length=max_length)
+        assert np.array_equal(prof.labels, group_rows(c.color.reshape(-1, 1)))
+        assert (prof.stabilized_length, prof.lengths_used) == (1, 2)
 
 
 def full_width_sampled_span_profile(color_table, *, coords, seed,
@@ -530,7 +553,8 @@ def full_width_sampled_span_profile(color_table, *, coords, seed,
     ``color_table`` is the block-diagonal joint table with -1 outside the
     universe, which reads a zero coefficient, and ``coords`` are the flat
     universe indices.  It draws the same coefficients as
-    ``sampled_span_profile`` and multiplies full n_tot x n_tot products.
+    ``sampled_span_profile`` and multiplies full n_tot x n_tot products,
+    and stops where it does: after an unsplit length 2, or on the window.
     """
     table = np.asarray(color_table, dtype=np.int64)
     n_tot = table.shape[0]
@@ -569,7 +593,8 @@ def full_width_sampled_span_profile(color_table, *, coords, seed,
             labels = group_rows(np.column_stack([labels, samples]))
             first = np.unique(labels, return_index=True)[1]
             stabilized_length = length
-        elif windowed and length - stabilized_length >= _STOP_WINDOW:
+        elif length == 2 or (windowed
+                             and length - stabilized_length >= _STOP_WINDOW):
             break
     return labels, stabilized_length, length
 

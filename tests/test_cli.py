@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -203,6 +204,31 @@ class TestReportsAndVerdicts:
         assert d["quantifier_depth"] == 1
 
 
+class TestGateOutputs:
+    """The report and refinement commands' stdout, pinned byte for byte
+    by the first 16 hex digits of its sha256, and their exit codes."""
+
+    @pytest.mark.parametrize("argv,digest,exit_code", [
+        (["lower-bound", "--n-values", "4,6,8", "--no-timing"],
+         "0747350d8d6afb33", 0),
+        (["remark", "--n-min", "2", "--n-max", "7", "--no-timing"],
+         "d443b788caf59754", 1),
+        (["suite", "--no-timing"], "117f0a2530d95948", 0),
+        (["distinguish", "--kind", "walk", "--graphs", "{plain}",
+          "{twisted}"], "ff71782ed9880ab7", 0),
+        (["dims", "--graph", "{plain}"], "f61f41eb2e6fe91b", 0),
+    ], ids=["lower-bound", "remark", "suite", "distinguish-walk", "dims"])
+    def test_stdout_digest(self, capsys, tmp_path, argv, digest, exit_code):
+        paths = {"plain": str(tmp_path / "p.json"),
+                 "twisted": str(tmp_path / "t.json")}
+        assert main(["gen", "--grid", "3", "--out", paths["plain"]]) == 0
+        assert main(["gen", "--grid", "3", "--twist", "--out",
+                     paths["twisted"]]) == 0
+        code, out = run(capsys, *(a.format(**paths) for a in argv))
+        assert code == exit_code
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
 class TestUsageErrors:
     def test_missing_graph_file(self, capsys):
         code, _ = run(capsys, "dims", "--graph", "/nonexistent.json")
@@ -275,6 +301,7 @@ class TestUsageErrors:
         assert code == 2
         assert capsys.readouterr().err.startswith(
             f"error: cannot write {str(tmp_path / 'g.origins.json')!r}: ")
+        assert not (tmp_path / "g.json").exists()
 
     def test_csv_unsupported_command(self, cfi_pair):
         plain, _ = cfi_pair
@@ -329,6 +356,27 @@ class TestUsageErrors:
         # the CFI-4 isomorphism pair has 54 joint vertices
         monkeypatch.setattr(experiments, "k_walk_step", no_work)
         code = main(["suite", "--arith", "rational", "--no-timing"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == ("error: rational arithmetic is limited to "
+                                "40 total vertices\n")
+
+    @pytest.mark.parametrize("command", [
+        # grid 6 (43 vertices) is the first past the limit
+        ["remark", "--n-max", "10"],
+        # the grid-4 pair has 54 joint vertices
+        ["lower-bound", "--n-values", "3,4"],
+    ], ids=["remark", "lower-bound"])
+    def test_rational_report_refused_before_any_work(self, capsys,
+                                                     monkeypatch, command):
+        import walkref.experiments as experiments
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the report refined before refusing")
+
+        monkeypatch.setattr(experiments, "stabilize", no_work)
+        code = main([*command, "--arith", "rational", "--no-timing"])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""

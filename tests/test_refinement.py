@@ -23,6 +23,7 @@ from walkref.graph_core import (
     group_rows,
 )
 from walkref import algebra, refinement
+from walkref.experiments import seeded_random_graph, walk_dimension_chain
 from walkref.refinement import (
     RefinementKind,
     WalkRecord,
@@ -364,6 +365,90 @@ class TestStabilize:
         assert all(len(seq) == 3 for seq in counts)
         # every pair has exactly n^(k-1) walks
         assert sum(counts.values()) == 5 ** 2
+
+
+def reference_walk_stabilize(ws, *, seed, arith, record_dims):
+    """``stabilize(ws, walk)`` as a plain loop of walk steps until the
+    partition repeats, every iteration computed: the reference for the
+    coherence certificate.  Returns (partitions, dims, distinguished_at)."""
+    partitions, dims = [ws.partition()], []
+    while len(partitions) < 2 or partitions[-1] != partitions[-2]:
+        it_seed = refinement._iter_seed(seed, len(partitions))
+        dims.append(walk_step(ws, seed=it_seed, want_dim=record_dims,
+                              arith=arith))
+        partitions.append(ws.partition())
+    distinguished_at = None
+    if len(ws.sizes) == 2:
+        distinguished_at = next(
+            (i for i, p in enumerate(partitions)
+             if p.color_multiset(0) != p.color_multiset(1)), None)
+    return partitions, dims if record_dims else None, distinguished_at
+
+
+@st.composite
+def walk_inputs(draw):
+    """An arithmetic mode and a graph, or a joint pair, of at most 12
+    vertices in total: two random graphs, or a graph and a relabelled
+    copy.  Rational arithmetic gets at most 7, since its Fraction closure
+    of one dense 12-vertex graph takes over 20 s on a 2-CPU VM."""
+    arith = draw(st.sampled_from(["prime", "prime2", "rational"]))
+    top = 7 if arith == "rational" else 12
+    n = draw(st.integers(1, top))
+    g = random_graph(n, draw(st.integers(0, 1000)), draw(st.sampled_from(
+        [0.2, 0.5, 0.8])))
+    kind = draw(st.sampled_from(["single", "copy", "pair"]))
+    if kind == "single" or 2 * n > top:
+        return arith, [g]
+    if kind == "copy":
+        perm = draw(st.permutations(range(n)))
+        return arith, [g, g.relabel(list(perm))]
+    m = draw(st.integers(1, top - n))
+    return arith, [g, random_graph(m, draw(st.integers(0, 1000)))]
+
+
+class TestCoherenceCertificate:
+    @given(walk_inputs(), st.booleans(), st.integers(0, 2**16))
+    @settings(deadline=None, max_examples=100)
+    def test_matches_uncertified_loop(self, inputs, record_dims, seed):
+        arith, graphs = inputs
+        hist = stabilize(Workspace.from_graphs(graphs), RefinementKind.walk(),
+                         seed=seed, arith=arith, record_dims=record_dims)
+        partitions, dims, distinguished_at = reference_walk_stabilize(
+            Workspace.from_graphs(graphs), seed=seed, arith=arith,
+            record_dims=record_dims)
+        assert hist.partitions == partitions
+        assert hist.dims == dims
+        assert hist.iterations == len(partitions) - 1
+        assert hist.distinguished_at == distinguished_at
+
+    @pytest.mark.parametrize("g,dims,calls", [
+        (build_cfi(grid_base(3)).graph, [69, 109, 109], 4),
+        (seeded_random_graph(10, 1), [100, 100], 2),
+    ], ids=["cfi3", "random10"])
+    def test_chain_skips_the_confirming_closure(self, monkeypatch, g, dims,
+                                                calls):
+        """The last dimension is computed once, not again on both primes
+        by a confirming iteration."""
+        made = []
+        grow = refinement.grow_products
+
+        def counted(*args, **kwargs):
+            made.append(1)
+            return grow(*args, **kwargs)
+
+        monkeypatch.setattr(refinement, "grow_products", counted)
+        assert walk_dimension_chain(g)["dims"] == dims
+        assert len(made) == calls
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_max_iterations_bounds_the_appended_iteration(self, cap):
+        # CFI-3's second step certifies its coherent result, whose
+        # confirming third iteration is appended only within the cap
+        hist = stabilize(Workspace.from_graphs(build_cfi(grid_base(3)).graph),
+                         RefinementKind.walk(), max_iterations=cap,
+                         record_dims=True)
+        assert hist.iterations == cap
+        assert hist.dims == [69, 109, 109][:cap]
 
 
 class TestDistinguish:

@@ -335,6 +335,17 @@ class TestSerialization:
             with pytest.raises(ValueError):
                 parse_sexpr(bad)
 
+    @pytest.mark.parametrize("bad", [
+        "(walk +2 eq eq)", "(walk 02 eq eq)", "(walk 0_2 eq eq)",
+        "(walk \u0662 eq eq)", "#\u0660=eq", "#00=eq",
+        "(and #0=(not eq) #00#)",
+    ], ids=["plus", "leading-zero", "underscore", "arabic-indic-count",
+            "arabic-indic-label", "label-leading-zero", "ref-leading-zero"])
+    def test_non_canonical_integers_refused(self, bad):
+        # to_sexpr prints counts and labels as plain ASCII decimals
+        with pytest.raises(ValueError):
+            parse_sexpr(bad)
+
     @pytest.mark.parametrize("op", ["not", "and", "walk 1"],
                              ids=["not", "and", "walk"])
     def test_deep_nesting_is_a_value_error(self, op):
