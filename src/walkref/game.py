@@ -307,7 +307,6 @@ def verify_round_safe(
     g_plain: CfiGraph,
     g_twisted: CfiGraph,
     pebbles: PebblePlacement,
-    budget: int = TUPLE_BUDGET,
     return_counterexample: bool = False,
 ) -> bool:
     """Exhaustively check that Spoiler cannot win this round.
@@ -326,8 +325,9 @@ def verify_round_safe(
     n, k = g_plain.n, pebbles.k
     firsts, lasts = _anchor_pairs(bij)
     cost = n ** (k - 1)
-    if cost > budget:
-        raise BudgetExceeded(f"{cost} tuples exceed the budget of {budget}")
+    if cost > TUPLE_BUDGET:
+        raise BudgetExceeded(
+            f"{cost} tuples exceed the budget of {TUPLE_BUDGET}")
     a_plain = g_plain.graph.adjacency()
     a_tw = g_twisted.graph.adjacency()
     (x0, y0), (xk, yk) = np.array(firsts).T, np.array(lasts).T

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -132,44 +132,6 @@ def initial_coloring(g: SimpleGraph) -> ColoredCompleteGraph:
         table[u, v] = EDGE
         table[v, u] = EDGE
     return ColoredCompleteGraph(g.n, table)
-
-
-@dataclass
-class InvariantReport:
-    loop_disjoint: bool
-    converse_equivalent: bool
-    violations: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.loop_disjoint and self.converse_equivalent
-
-
-def check_invariants(c: ColoredCompleteGraph) -> InvariantReport:
-    """Exhaustively verify loop/non-loop color disjointness and converse
-    equivalence."""
-    n = c.n
-    loop_colors = set(np.diag(c.color).tolist())
-    off = c.color[~np.eye(n, dtype=bool)]
-    offdiag_colors = set(off.tolist()) if n > 1 else set()
-    violations = []
-    bad = loop_colors & offdiag_colors
-    loop_disjoint = not bad
-    if bad:
-        violations.append(("loop_color_reused_offdiagonal", sorted(bad)))
-
-    # converse equivalence: color(u,v) must determine color(v,u)
-    forward = c.color.ravel()
-    backward = c.color.T.ravel()
-    conv = {}
-    converse_ok = True
-    for f, b in zip(forward.tolist(), backward.tolist()):
-        prev = conv.setdefault(f, b)
-        if prev != b:
-            converse_ok = False
-            violations.append(("converse_violation", f, prev, b))
-            break
-    return InvariantReport(loop_disjoint, converse_ok, violations)
 
 
 class PartitionOrder(Enum):
@@ -325,10 +287,8 @@ __all__ = [
     "ColoredCompleteGraph",
     "PairPartition",
     "PartitionOrder",
-    "InvariantReport",
     "initial_coloring",
     "compare_partitions",
-    "check_invariants",
     "load_graph_json",
     "group_rows",
 ]

@@ -68,9 +68,6 @@ class RefinementKind:
     def walk() -> "RefinementKind":
         return RefinementKind("walk")
 
-    def __str__(self):
-        return f"kwalk[{self.k}]" if self.name == "kwalk" else self.name
-
 
 @dataclass
 class Workspace:
@@ -200,18 +197,19 @@ def walk_step(ws: Workspace, seed: int = 0, want_dim: bool = False,
     return dim
 
 
-def naive_k_walk_step(ws: Workspace, k: int, budget: int = NAIVE_WALK_BUDGET):
+def naive_k_walk_step(ws: Workspace, k: int):
     """Oracle k-walk step by enumeration of every k-step walk.
 
     Returns a WalkRecord of the walk-count multisets.  Refuses to touch
-    more than ``budget`` walk steps in total.
+    more than ``NAIVE_WALK_BUDGET`` walk steps in total.
 
     Each graph's walks are built in numpy, level by level, in chunks of at
     most ``_WALKS_PER_CHUNK`` walks (see ``_walk_counts``).  A walk is one
     int64 key: its pair u*n + v, then its k colours as digits base r, the
     graph's number of colours.  Keys stay below n^2 r^k <= (n^(k+1))^2,
-    inside int64 whenever a graph has at most 3*10^9 walks, which every
-    budget below 6*10^9 ensures; a larger key range is refused up front.
+    inside int64 whenever a graph has at most 3*10^9 walks, which any
+    ``NAIVE_WALK_BUDGET`` below 6*10^9 ensures; a larger key range is
+    refused up front.
     Pairs are then grouped across the graphs by their rows of (colour
     sequence, count) entries, and a class's multiset dict is built from
     its first pair only.
@@ -219,9 +217,10 @@ def naive_k_walk_step(ws: Workspace, k: int, budget: int = NAIVE_WALK_BUDGET):
     if k < 2:
         raise ValueError("k-walk refinement requires k >= 2")
     cost = sum(c.n ** (k + 1) for c in ws.colorings) * k
-    if cost > budget:
+    if cost > NAIVE_WALK_BUDGET:
         raise BudgetExceeded(
-            f"naive enumeration needs {cost} steps > budget {budget}"
+            f"naive enumeration needs {cost} steps > budget "
+            f"{NAIVE_WALK_BUDGET}"
         )
     palettes = []
     for c in ws.colorings:

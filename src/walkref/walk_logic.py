@@ -13,9 +13,10 @@ matrices: a walk quantifier is two or more integer matrix products
 followed by a threshold.  Each graph has one ``Evaluator``, shared by
 every evaluation on it: its memo keeps conjunctions (class formulas among
 them), weakly keyed on the interned nodes, and within one evaluation the
-quantifiers over one parts tuple share one count product.  ``EvalBudget``
-limits are checked on the whole DAG before the memo is read, and every
-returned matrix is read-only.
+quantifiers over one parts tuple share one count product.  The work
+limits ``MAX_TUPLES_PER_QUANTIFIER`` and ``MAX_NODE_EVALS`` are checked on
+the whole DAG before the memo is read, and every returned matrix is
+read-only.
 
 Synthesis turns the walk-count records of an iterated k-walk refinement
 into color-identifying formulas (quantifier depth m identifies a class of
@@ -27,15 +28,14 @@ from __future__ import annotations
 
 import re
 import weakref
-from dataclasses import dataclass
 
 import numpy as np
 
 from .graph_core import EDGE, LOOP, NONEDGE, BudgetExceeded, SimpleGraph
 from .refinement import RefinementHistory, Workspace, naive_k_walk_step
 
-DEFAULT_TUPLES_PER_QUANTIFIER = 10**7
-DEFAULT_NODE_EVALS = 10**6
+MAX_TUPLES_PER_QUANTIFIER = 10**7
+MAX_NODE_EVALS = 10**6
 
 
 class WalkFormula:
@@ -133,45 +133,31 @@ TOP = not_(and_((EQ, not_(EQ))))
 # evaluation
 
 
-@dataclass(frozen=True)
-class EvalBudget:
-    """Caps on the work a single evaluation may do.
+def _check_budget(f: WalkFormula, n: int) -> None:
+    """Raise BudgetExceeded if evaluating ``f`` on n vertices would exceed
+    a work limit.
 
     Both limits are checked up front, on the whole formula DAG, before
     anything is evaluated or read from an evaluator's memo, so a memoized
-    result is refused under a budget that would refuse its evaluation:
-    the DAG may have at most ``max_node_evals`` nodes (a memoized
-    evaluation touches each once), and its widest walk quantifier, with
-    k parts, may range over at most ``max_tuples_per_quantifier``
-    interior tuples, n^(k-1).
+    result is refused where its evaluation would be: the DAG may have at
+    most ``MAX_NODE_EVALS`` nodes (a memoized evaluation touches each
+    once), and its widest walk quantifier, with k parts, may range over
+    at most ``MAX_TUPLES_PER_QUANTIFIER`` interior tuples, n^(k-1).
     """
-
-    max_tuples_per_quantifier: int = DEFAULT_TUPLES_PER_QUANTIFIER
-    max_node_evals: int = DEFAULT_NODE_EVALS
-
-    def __post_init__(self):
-        if self.max_tuples_per_quantifier < 1 or self.max_node_evals < 1:
-            raise ValueError("budget limits must be positive")
-
-    def check(self, f: WalkFormula, n: int) -> None:
-        """Raise BudgetExceeded if evaluating ``f`` on n vertices would
-        exceed a limit."""
-        if f._width:
-            tuples = n ** (f._width - 1)
-            if tuples > self.max_tuples_per_quantifier:
-                raise BudgetExceeded(
-                    f"evaluation budget exceeded: quantifier ranges over "
-                    f"{tuples} interior tuples > "
-                    f"{self.max_tuples_per_quantifier}"
-                )
-        # every live node is interned, so no DAG outgrows the table and
-        # the DAG is counted only when the table is larger than the limit
-        if len(_INTERN) > self.max_node_evals and \
-                f.dag_size > self.max_node_evals:
+    if f._width:
+        tuples = n ** (f._width - 1)
+        if tuples > MAX_TUPLES_PER_QUANTIFIER:
             raise BudgetExceeded(
-                f"evaluation budget exceeded: {f.dag_size} formula nodes > "
-                f"{self.max_node_evals} node evaluations"
+                f"evaluation budget exceeded: quantifier ranges over "
+                f"{tuples} interior tuples > {MAX_TUPLES_PER_QUANTIFIER}"
             )
+    # every live node is interned, so no DAG outgrows the table and the
+    # DAG is counted only when the table is larger than the limit
+    if len(_INTERN) > MAX_NODE_EVALS and f.dag_size > MAX_NODE_EVALS:
+        raise BudgetExceeded(
+            f"evaluation budget exceeded: {f.dag_size} formula nodes > "
+            f"{MAX_NODE_EVALS} node evaluations"
+        )
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -224,7 +210,7 @@ class Evaluator:
             if walks is None:
                 # walk counts between endpoints: the product of the parts'
                 # boolean matrices; counts stay below n^(k-1), which the
-                # tuple budget bounds, so int64 arithmetic is exact
+                # tuple limit bounds, so int64 arithmetic is exact
                 mats = [self._value(p, local, counts) for p in f.parts]
                 walks = mats[0].astype(np.int64)
                 for m in mats[1:]:
@@ -240,36 +226,26 @@ class Evaluator:
 _EVALUATORS = weakref.WeakKeyDictionary()
 
 
-def eval_matrix(
-    f: WalkFormula, g: SimpleGraph, budget: EvalBudget | None = None
-) -> np.ndarray:
+def eval_matrix(f: WalkFormula, g: SimpleGraph) -> np.ndarray:
     """Read-only boolean n x n matrix of the formula's truth value on
     every pair, from the graph's shared evaluator."""
-    (budget or EvalBudget()).check(f, g.n)
+    _check_budget(f, g.n)
     ev = _EVALUATORS.get(g)
     if ev is None:
         ev = _EVALUATORS[g] = Evaluator(g)
     return ev.matrix(f)
 
 
-def eval_formula(
-    f: WalkFormula,
-    g: SimpleGraph,
-    u: int,
-    v: int,
-    budget: EvalBudget | None = None,
-) -> bool:
+def eval_formula(f: WalkFormula, g: SimpleGraph, u: int, v: int) -> bool:
     """Truth value of the formula on the pair (u, v)."""
-    return bool(eval_matrix(f, g, budget)[u, v])
+    return bool(eval_matrix(f, g)[u, v])
 
 
-def eval_sentence(
-    f: WalkFormula, g: SimpleGraph, budget: EvalBudget | None = None
-) -> bool:
+def eval_sentence(f: WalkFormula, g: SimpleGraph) -> bool:
     """Truth value of a closed sentence (anchor-independent formula)."""
     if g.n == 0:
         raise ValueError("sentence evaluation needs a nonempty graph")
-    return eval_formula(f, g, 0, 0, budget)
+    return eval_formula(f, g, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -349,29 +325,18 @@ def synth_distinguishing_sentence(
         raise ValueError("graphs must have the same number of vertices")
     ws = Workspace.from_graphs([g1, g2])
     # iterate only until the class-count multisets first differ: later
-    # iterations cannot contribute to the sentence
+    # iterations cannot contribute to the sentence.  Each pass splits a
+    # class or stops, so there are at most n_1^2 + n_2^2 of them.
     records = []
-    tables = [c.color.copy() for c in ws.colorings]
-    m = None
-    if _color_counts(tables)[0] != _color_counts(tables)[1]:
-        m = 0
-    else:
-        num_classes = len(np.unique(np.concatenate([t.ravel() for t in tables])))
-        for it in range(1, ws.total_vertices ** 2 + 2):
-            records.append(naive_k_walk_step(ws, k))
-            tables = records[-1].new_tables
-            counts = _color_counts(tables)
-            if counts[0] != counts[1]:
-                m = it
-                break
-            new_num = len(np.unique(np.concatenate([t.ravel() for t in tables])))
-            if new_num == num_classes:  # stable and still equivalent
-                break
-            num_classes = new_num
-    if m is None:
-        raise ValueError(f"{k}-walk refinement does not distinguish the graphs")
+    part = ws.partition()
+    while part.color_multiset(0) == part.color_multiset(1):
+        records.append(naive_k_walk_step(ws, k))
+        prev, part = part, ws.partition()
+        if part == prev:  # stable and still equivalent
+            raise ValueError(
+                f"{k}-walk refinement does not distinguish the graphs")
     formulas = class_formulas(records)
-    counts1, counts2 = _color_counts(tables)
+    counts1, counts2 = _color_counts(c.color for c in ws.colorings)
     best = None
     for cls in sorted(counts1):
         n1, n2 = counts1[cls], counts2.get(cls, 0)
@@ -385,7 +350,8 @@ def synth_distinguishing_sentence(
     )
     if return_details:
         return sentence, {"class": cls, "count_true": n1,
-                          "iteration": m, "depth": sentence.quantifier_depth}
+                          "iteration": len(records),
+                          "depth": sentence.quantifier_depth}
     return sentence
 
 
@@ -517,7 +483,6 @@ def parse_sexpr(text: str) -> WalkFormula:
 
 __all__ = [
     "WalkFormula",
-    "EvalBudget",
     "Evaluator",
     "EQ",
     "ADJ",

@@ -14,6 +14,7 @@ tests verify the documented failure shape, print FAIL, and xfail:
   chain is strict everywhere before that.  Verified over rationals too.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -82,6 +83,21 @@ def walk_corpus():
                          record_dims=True)
         out.append((name, g, hist))
     return out
+
+
+def test_walk_corpus_digest(walk_corpus):
+    """The corpus's dimension chains and partitions, pinned by the first
+    16 hex digits of a sha256 over each entry in order: its name as
+    UTF-8, its dims as int64 bytes, then the label bytes of each of its
+    partitions."""
+    h = hashlib.sha256()
+    for name, _, hist in walk_corpus:
+        h.update(name.encode())
+        h.update(np.asarray(hist.dims, np.int64).tobytes())
+        for p in hist.partitions:
+            h.update(p.labels.tobytes())
+    assert len(walk_corpus) == 108
+    assert h.hexdigest()[:16] == "ce2140fed2fb2db2"
 
 
 def test_criterion_1_remark_disagreement(capfd):

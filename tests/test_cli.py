@@ -204,9 +204,21 @@ class TestReportsAndVerdicts:
         assert d["quantifier_depth"] == 1
 
 
+@pytest.fixture()
+def grid3_paths(tmp_path):
+    """The ``gen --grid 3`` plain and twisted graph files."""
+    paths = {"plain": str(tmp_path / "p.json"),
+             "twisted": str(tmp_path / "t.json")}
+    assert main(["gen", "--grid", "3", "--out", paths["plain"]]) == 0
+    assert main(["gen", "--grid", "3", "--twist", "--out",
+                 paths["twisted"]]) == 0
+    return paths
+
+
 class TestGateOutputs:
     """The report and refinement commands' stdout, pinned byte for byte
-    by the first 16 hex digits of its sha256, and their exit codes."""
+    by the first 16 hex digits of its sha256, their exit codes, and the
+    exit-4 refusals of the formula and game layers."""
 
     @pytest.mark.parametrize("argv,digest,exit_code", [
         (["lower-bound", "--n-values", "4,6,8", "--no-timing"],
@@ -217,16 +229,31 @@ class TestGateOutputs:
         (["distinguish", "--kind", "walk", "--graphs", "{plain}",
           "{twisted}"], "ff71782ed9880ab7", 0),
         (["dims", "--graph", "{plain}"], "f61f41eb2e6fe91b", 0),
-    ], ids=["lower-bound", "remark", "suite", "distinguish-walk", "dims"])
-    def test_stdout_digest(self, capsys, tmp_path, argv, digest, exit_code):
-        paths = {"plain": str(tmp_path / "p.json"),
-                 "twisted": str(tmp_path / "t.json")}
-        assert main(["gen", "--grid", "3", "--out", paths["plain"]]) == 0
-        assert main(["gen", "--grid", "3", "--twist", "--out",
-                     paths["twisted"]]) == 0
-        code, out = run(capsys, *(a.format(**paths) for a in argv))
+        (["formula", "--graphs", "{plain}", "{twisted}"],
+         "afa52429e3c1302d", 0),
+        (["verify-duplicator", "--grid", "4", "--k", "3", "--scenario",
+          "wall-adjacent"], "bf2e292937624694", 0),
+    ], ids=["lower-bound", "remark", "suite", "distinguish-walk", "dims",
+            "formula", "verify-duplicator"])
+    def test_stdout_digest(self, capsys, grid3_paths, argv, digest,
+                           exit_code):
+        code, out = run(capsys, *(a.format(**grid3_paths) for a in argv))
         assert code == exit_code
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("argv,message", [
+        (["formula", "--graphs", "{plain}", "{twisted}", "--k", "4"],
+         "naive enumeration needs 19808792 steps > budget 10000000"),
+        (["verify-duplicator", "--grid", "7", "--k", "9", "--scenario",
+          "wall-adjacent", "--column", "2"],
+         "45767944570401 tuples exceed the budget of 10000000"),
+    ], ids=["formula-k4", "verify-duplicator-grid7"])
+    def test_budget_refusal(self, capsys, grid3_paths, argv, message):
+        code = main([a.format(**grid3_paths) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 class TestUsageErrors:

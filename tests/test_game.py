@@ -392,12 +392,13 @@ class TestRoundSafety:
         assert got == (False, (late,))
         assert got == reference_round_safe(corrupted, gp, gt, scen.pebbles)
 
-    def test_budget_guard(self, g4):
+    def test_budget_guard(self, g4, monkeypatch):
         b, t, gp, gt = g4
         scen = wall_adjacent_scenario(b, t, 2, 8)
         bij = duplicator_bijection(gp, gt, scen.pebbles, scen.v, scen.e1, scen.e2)
+        monkeypatch.setattr(game, "TUPLE_BUDGET", 10**4)
         with pytest.raises(ValueError):
-            verify_round_safe(bij, gp, gt, scen.pebbles, budget=10**4)
+            verify_round_safe(bij, gp, gt, scen.pebbles)
 
     @pytest.mark.parametrize("maker,col", [
         (wall_adjacent_scenario, 2),

@@ -1,4 +1,5 @@
 import json
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -13,13 +14,50 @@ from walkref.graph_core import (
     PairPartition,
     PartitionOrder,
     SimpleGraph,
-    check_invariants,
     compare_partitions,
     group_rows,
     initial_coloring,
     load_graph_json,
 )
 from walkref.refinement import Workspace
+
+
+@dataclass
+class InvariantReport:
+    loop_disjoint: bool
+    converse_equivalent: bool
+    violations: list = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return self.loop_disjoint and self.converse_equivalent
+
+
+def check_invariants(c: ColoredCompleteGraph) -> InvariantReport:
+    """Exhaustively verify loop/non-loop color disjointness and converse
+    equivalence."""
+    n = c.n
+    loop_colors = set(np.diag(c.color).tolist())
+    off = c.color[~np.eye(n, dtype=bool)]
+    offdiag_colors = set(off.tolist()) if n > 1 else set()
+    violations = []
+    bad = loop_colors & offdiag_colors
+    loop_disjoint = not bad
+    if bad:
+        violations.append(("loop_color_reused_offdiagonal", sorted(bad)))
+
+    # converse equivalence: color(u,v) must determine color(v,u)
+    forward = c.color.ravel()
+    backward = c.color.T.ravel()
+    conv = {}
+    converse_ok = True
+    for f, b in zip(forward.tolist(), backward.tolist()):
+        prev = conv.setdefault(f, b)
+        if prev != b:
+            converse_ok = False
+            violations.append(("converse_violation", f, prev, b))
+            break
+    return InvariantReport(loop_disjoint, converse_ok, violations)
 
 
 def cycle(n):

@@ -18,7 +18,6 @@ from walkref.graph_core import (
     PairPartition,
     PartitionOrder,
     SimpleGraph,
-    check_invariants,
     compare_partitions,
     group_rows,
 )
@@ -36,6 +35,7 @@ from walkref.refinement import (
     wl_step,
 )
 from test_algebra import colorings
+from test_graph_core import check_invariants
 
 
 def cycle(n):
@@ -169,6 +169,30 @@ class TestStepAgreement:
         monkeypatch.setattr(refinement, "EXACT_METHOD_MAX_VERTICES", 0)
         walk_step(b, seed=17)
         assert a.partition() == b.partition()
+
+    def test_walk_step_window(self, monkeypatch):
+        """A graph whose k-walk partition has 16 classes at k = 2 and 3
+        and 18 from k = 4 on: a window of one length after the last split
+        stops the walk-step sampler at 16 classes."""
+        g = SimpleGraph.from_edges(6, [(0, 2), (0, 4), (0, 5), (1, 2),
+                                       (1, 4), (1, 5), (2, 3)])
+        counts = []
+        for k in (2, 3, 4, 5):
+            ws = Workspace.from_graphs(g)
+            k_walk_step(ws, k)
+            counts.append(ws.partition().num_classes)
+        assert counts == [16, 16, 18, 18]
+        ws = Workspace.from_graphs(g)
+        assert walk_step(ws) == 17
+        assert ws.partition().num_classes == 18
+        monkeypatch.setattr(refinement, "EXACT_METHOD_MAX_VERTICES", 0)
+        ws = Workspace.from_graphs(g)
+        assert walk_step(ws) is None
+        assert ws.partition().num_classes == 18
+        monkeypatch.setattr(algebra, "_STOP_WINDOW", 1)
+        ws = Workspace.from_graphs(g)
+        walk_step(ws)
+        assert ws.partition().num_classes == 16
 
     @pytest.mark.parametrize("grids", [(4, 4), (4, 3)],
                              ids=["cfi4-pair-54", "cfi4-cfi3-46"])
@@ -542,11 +566,12 @@ class TestNaiveEnumeration:
         assert rec.class_multisets == {0: {(0,) * 70: 1}}
         assert rec.new_tables[0].tolist() == [[3]]
 
-    def test_key_range_refused(self):
+    def test_key_range_refused(self, monkeypatch):
         # keys of 2 vertices, 3 colours and k = 40 reach 4 * 3^40 > 2^63
+        monkeypatch.setattr(refinement, "NAIVE_WALK_BUDGET", 10**15)
         ws = Workspace([ColoredCompleteGraph(2, np.array([[0, 1], [2, 0]]))])
         with pytest.raises(BudgetExceeded, match="exceed int64"):
-            naive_k_walk_step(ws, 40, budget=10**15)
+            naive_k_walk_step(ws, 40)
 
 
 class TestNaiveBudget:

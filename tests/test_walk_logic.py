@@ -18,7 +18,6 @@ from walkref.walk_logic import (
     ADJ,
     EQ,
     TOP,
-    EvalBudget,
     and_,
     class_formulas,
     eval_formula,
@@ -108,8 +107,7 @@ class TestEval:
     @settings(max_examples=60, deadline=None)
     def test_memoization_transparent(self, f, seed):
         g = random_graph(5, seed)
-        big = EvalBudget(10**7, 10**6)
-        assert np.array_equal(eval_matrix(f, g, big), reference_matrix(f, g))
+        assert np.array_equal(eval_matrix(f, g), reference_matrix(f, g))
 
     def test_formulas_dropped_in_a_loop_read_fresh(self):
         # each round builds and drops its formulas, so ids are reused
@@ -139,27 +137,31 @@ class TestEval:
                 eval_matrix(h, g)[0, 0] = True
         assert np.array_equal(eval_matrix(f, g), reference_matrix(f, g))
 
-    def test_memoized_formula_still_refused(self):
+    def test_memoized_formula_still_refused(self, monkeypatch):
         g = random_graph(8, 1)
         f = and_([not_(ADJ), walk_quant(1, [ADJ, not_(EQ), ADJ])])
-        eval_matrix(f, g, EvalBudget(10**7, 10**6))
-        with pytest.raises(BudgetExceeded):
-            eval_matrix(f, g, EvalBudget(max_node_evals=2))
-        with pytest.raises(BudgetExceeded):
-            eval_matrix(f, g, EvalBudget(max_tuples_per_quantifier=63))
+        eval_matrix(f, g)
+        with monkeypatch.context() as m:
+            m.setattr(walk_logic, "MAX_NODE_EVALS", 2)
+            with pytest.raises(BudgetExceeded):
+                eval_matrix(f, g)
+        with monkeypatch.context() as m:
+            m.setattr(walk_logic, "MAX_TUPLES_PER_QUANTIFIER", 63)
+            with pytest.raises(BudgetExceeded):
+                eval_matrix(f, g)
         # the widest quantifier ranges over 8^2 = 64 tuples
-        assert eval_matrix(f, g, EvalBudget(64, f.dag_size)).shape == (8, 8)
+        monkeypatch.setattr(walk_logic, "MAX_TUPLES_PER_QUANTIFIER", 64)
+        monkeypatch.setattr(walk_logic, "MAX_NODE_EVALS", f.dag_size)
+        assert eval_matrix(f, g).shape == (8, 8)
 
-    def test_budget_guards(self):
+    def test_budget_guards(self, monkeypatch):
         g = random_graph(8, 1)
         with pytest.raises(ValueError):
-            eval_formula(walk_quant(1, [ADJ] * 10), g, 0, 0,
-                         EvalBudget(max_tuples_per_quantifier=10**6))
+            # 8^9 interior tuples, over MAX_TUPLES_PER_QUANTIFIER
+            eval_formula(walk_quant(1, [ADJ] * 10), g, 0, 0)
+        monkeypatch.setattr(walk_logic, "MAX_NODE_EVALS", 2)
         with pytest.raises(ValueError):
-            eval_formula(and_([not_(ADJ), not_(EQ), ADJ]), g, 0, 0,
-                         EvalBudget(max_node_evals=2))
-        with pytest.raises(ValueError):
-            EvalBudget(0, 1)
+            eval_formula(and_([not_(ADJ), not_(EQ), ADJ]), g, 0, 0)
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
